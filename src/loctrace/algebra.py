@@ -45,7 +45,6 @@ __all__ = [
     "FormCoefficient",
     "fc_field",
     "mat_zero",
-    "mat_from_fields",
     "CrossedForm",
     "WordCrossedForm",
     "DWord",
@@ -169,13 +168,6 @@ def fc_field(f):
 
 def mat_zero(n):
     return [[FormCoefficient.zero() for _ in range(n)] for _ in range(n)]
-
-
-def mat_from_fields(rows):
-    out = []
-    for row in rows:
-        out.append([fc_field(f) if isinstance(f, ScalarField) else f for f in row])
-    return out
 
 
 def mat_add(a, b):

@@ -40,7 +40,7 @@ from .groupoid import (
     compose_maps,
     fixed_points,
 )
-from .quadrature import integrate_box
+from .quadrature import NonConvergenceError, integrate_box
 
 __all__ = [
     "PlateauError",
@@ -165,6 +165,10 @@ def _unit_integral(mat, tol, max_depth, threads, tag):
     if bb is None:
         raise ValueError(f"cannot integrate the coefficient at {tag}: unbounded support")
     res = integrate_box(_integrand(field), bb, tol, max_depth, threads)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"unit integral at {tag} did not converge (est {res.est_error:.3g})"
+        )
     # dz^dzbar against the plane: -2i dx dy
     return -2j * res.value, 2.0 * res.est_error
 

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import fields as F
-from .quadrature import integrate_box, integrate_rect
+from .quadrature import NonConvergenceError, integrate_box, integrate_rect
 
 __all__ = [
     "N_MAX",
@@ -34,10 +34,6 @@ __all__ = [
 N_MAX = 8
 DEFAULT_TOL = 1e-6
 DEFAULT_DEPTH = 12
-
-
-class NonConvergenceError(Exception):
-    """Adaptive quadrature hit its depth limit before the tolerance."""
 
 
 class RenormKernel:

@@ -159,17 +159,6 @@ def bbox_union(a, b):
     return (min(a[0], b[0]), max(a[1], b[1]), min(a[2], b[2]), max(a[3], b[3]))
 
 
-def bbox_intersect(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    out = (max(a[0], b[0]), min(a[1], b[1]), max(a[2], b[2]), min(a[3], b[3]))
-    if out[0] > out[1] or out[2] > out[3]:
-        return (0.0, 0.0, 0.0, 0.0)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # jet dictionaries: {(p, q): ndarray}, missing keys are zero.  All arrays in
 # one dictionary share a common flat shape.

@@ -36,7 +36,7 @@ from .cocycles import (
     phi_trace_words,
 )
 from .groupoid import automorphism_order, fixed_points
-from .quadrature import integrate_box
+from .quadrature import NonConvergenceError, integrate_box
 from .tensoralg import (
     TruncatedSeries,
     UniversalOneForm,
@@ -239,6 +239,10 @@ def _pair_quad(field, tol, max_depth, threads):
         return F.eval_field(field, z)
 
     res = integrate_box(f, bb, tol, max_depth, threads)
+    if not res.converged:
+        raise NonConvergenceError(
+            f"anomaly integral did not converge (est {res.est_error:.3g})"
+        )
     return res.value, res.est_error
 
 

@@ -23,6 +23,7 @@ from .algebra import (
     CrossedForm,
     DWord,
     WordCrossedForm,
+    mat_add,
     mat_is_zero,
     word_mu,
 )
@@ -421,13 +422,9 @@ def universal_d(x):
                 raise ValueError("already a one-form word")
             for i in range(len(key)):
                 dk = DWord(key[:i], key[i], key[i + 1 :])
-                terms[dk] = mat if dk not in terms else _mat_add(terms[dk], mat)
+                terms[dk] = mat if dk not in terms else mat_add(terms[dk], mat)
         return WordCrossedForm(x.action, x.size, x.cap, terms, None, x.dropped)
     raise TypeError(f"universal_d does not apply to {type(x).__name__}")
-
-
-def _mat_add(a, b):
-    return [[a[i][j].add(b[i][j]) for j in range(len(a))] for i in range(len(a))]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from loctrace.cocycles import (
     todd_dual_defect,
     transport_coordinates,
 )
+from loctrace.quadrature import NonConvergenceError
 from loctrace.tensoralg import crossed_max_abs
 
 from conftest import (
@@ -255,6 +256,15 @@ class TestUnitIntegrals:
         f = rand_coeff(np.random.default_rng(17))
         x = CrossedForm.single(act, act.unit, [[FormCoefficient({(1, 0): f})]])
         assert integrate_units(x, tol=1e-8).value == 0.0
+
+    def test_nonconvergence_raises(self):
+        from loctrace.algebra import FormCoefficient
+
+        act = kappa_action()
+        f = rand_coeff(np.random.default_rng(15))
+        x = CrossedForm.single(act, act.unit, [[FormCoefficient({(1, 1): f})]])
+        with pytest.raises(NonConvergenceError, match="unit integral"):
+            integrate_units(x, tol=1e-12, max_depth=1)
 
 
 class TestCoboundaryCombinators:

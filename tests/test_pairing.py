@@ -13,6 +13,7 @@ from loctrace.pairing import (
     pair_even,
     pair_odd,
 )
+from loctrace.quadrature import NonConvergenceError
 from loctrace.tensoralg import (
     CertificateError,
     GroupCocycle1,
@@ -195,34 +196,45 @@ class TestAnomalyDelta0:
         assert len(d0.terms) <= 1
 
 
+def free_affine_anomaly_pair():
+    # the routes only fire on word pairs whose total label is the unit,
+    # and the connection factor reads the (0, 1) component of A
+    from loctrace.algebra import FormCoefficient
+
+    act = G.FreeGeneratorsAction(
+        [("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0)
+    )
+    s = act.generator("s")
+    si = act.inverse(s)
+    rng = np.random.default_rng(7)
+    cap = 3
+    A = WordCrossedForm.from_crossed(
+        CrossedForm.single(
+            act, s, [[FormCoefficient({(0, 1): rand_coeff(rng)})]]
+        ),
+        cap,
+    )
+    om = universal_d(
+        WordCrossedForm.from_crossed(
+            CrossedForm.single(act, si, [[fc_field(rand_coeff(rng))]]), cap
+        )
+    )
+    return A, om
+
+
 class TestAnomalyDelta1:
     def test_dual_route_free_affine(self):
-        # the routes only fire on word pairs whose total label is the unit,
-        # and the connection factor reads the (0, 1) component of A
-        from loctrace.algebra import FormCoefficient
-
-        act = G.FreeGeneratorsAction(
-            [("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0)
-        )
-        s = act.generator("s")
-        si = act.inverse(s)
-        rng = np.random.default_rng(7)
-        cap = 3
-        A = WordCrossedForm.from_crossed(
-            CrossedForm.single(
-                act, s, [[FormCoefficient({(0, 1): rand_coeff(rng)})]]
-            ),
-            cap,
-        )
-        om = universal_d(
-            WordCrossedForm.from_crossed(
-                CrossedForm.single(act, si, [[fc_field(rand_coeff(rng))]]), cap
-            )
-        )
+        A, om = free_affine_anomaly_pair()
         res = anomaly_delta1(A, om, tol=1e-7, max_depth=12)
         mags = [abs(complex(m[0][0])) for m in res.explicit.terms.values()]
         assert mags and max(mags) > 1e-10  # both routes see real content
         assert res.defect <= 2e-7
+
+    def test_nonconvergence_raises(self):
+        A, om = free_affine_anomaly_pair()
+        # the explicit route integrates first, through the anomaly quadrature
+        with pytest.raises(NonConvergenceError, match="anomaly integral"):
+            anomaly_delta1(A, om, tol=1e-12, max_depth=1)
 
     def test_dual_route_mobius(self):
         from loctrace.algebra import FormCoefficient

@@ -1,10 +1,19 @@
 """Adaptive panel integration against closed forms and scipy."""
 
+import collections
+
 import numpy as np
 import pytest
 from scipy import integrate as si
 
 from loctrace.quadrature import integrate_box, integrate_rect
+
+BLOCK_POINTS = 64 * 64  # 64 cells of 8 x 8 Gauss points
+
+
+def ring(x, y):
+    # refines to levels of several blocks on (-2, 2, -2, 2) at tol=1e-10
+    return np.exp(-20 * (np.hypot(x, y) - 1) ** 2) * (x + 0.3)
 
 
 def test_polynomial_closed_form():
@@ -60,19 +69,48 @@ def test_determinism():
 
 
 def test_threads_do_not_change_the_answer():
-    # threads split only the evaluation, so the whole result is bit for bit
-    # the serial one
-    f = lambda x, y: np.exp(-2 * (x * x + y * y)) * (x + 0.3)
-    a = integrate_rect(f, (-2, 2, -2, 2), tol=1e-10, threads=1)
-    assert a.cells > 5  # several depth levels, several chunks per level
+    # threads map the same 64-cell blocks the serial loop evaluates, so the
+    # whole result is bit for bit the serial one
+    level_points = collections.Counter()
+
+    def recorded(x, y):
+        # within a block all cells have one width, which names the level
+        level_points[round(x[8] - x[0], 12)] += len(x)
+        return ring(x, y)
+
+    a = integrate_rect(recorded, (-2, 2, -2, 2), tol=1e-10, threads=1)
+    assert max(level_points.values()) > 2 * BLOCK_POINTS  # threads split a level
     for k in (2, 3, 4):
-        b = integrate_rect(f, (-2, 2, -2, 2), tol=1e-10, threads=k)
+        b = integrate_rect(ring, (-2, 2, -2, 2), tol=1e-10, threads=k)
         got = (b.value, b.est_error, b.cells, b.converged)
         assert got == (a.value, a.est_error, a.cells, a.converged), k
 
 
+def test_evaluation_calls_stay_within_one_block():
+    # levels wider than one block are evaluated one block per call, at any
+    # thread count
+    for k in (1, 2):
+        sizes = []
+
+        def f(x, y):
+            sizes.append(len(x))
+            return ring(x, y)
+
+        res = integrate_rect(f, (-2, 2, -2, 2), tol=1e-10, threads=k)
+        assert sum(sizes) == 64 * res.cells > 8 * BLOCK_POINTS
+        assert max(sizes) <= BLOCK_POINTS, k
+
+
+def test_scalar_integrand_broadcasts():
+    # an integrand may return one scalar for all points of a call
+    for k in (1, 2):
+        res = integrate_rect(lambda x, y: 1.0, (0, 1, 0, 1), threads=k)
+        assert res.converged
+        assert abs(res.value - 1.0) < 1e-14, k
+
+
 def test_threaded_evaluation_error_propagates():
-    # an error raised while evaluating a chunk reaches the caller
+    # an error raised while evaluating a block reaches the caller
     def f(x, y):
         if np.any(x > 0.5):
             raise ValueError("outside the domain")
