@@ -8,10 +8,14 @@ factor's map, Jacobian factors included) so that
 
     (f1 at g1) * (f2 at g2)  =  f1 . (f2 o g1)  at the product label g2 g1.
 
-Word-indexed elements are the same thing fibered over free tensor words: the
-key is a tuple of labels (or a tuple with one marked letter, for one-form
-words), the attached label is always the reversed product of the letters, and
-multiplication concatenates words, dropping anything beyond the length cap.
+Word-indexed elements are the same algebra fibered over free tensor words,
+and a label-keyed element is their one-letter, uncapped case: the key is a
+tuple of labels (or a tuple with one marked letter, for one-form words), the
+attached label is always the reversed product of the letters, and
+multiplication concatenates words, dropping and counting anything beyond the
+length cap.  So ``WordCrossedForm`` inherits all arithmetic from
+``CrossedForm`` and only says how a key maps to its label and how two keys
+join.
 
 Form coefficients live in the four slots (p, q) in {0,1}^2 spanned by
 1, dz, dzbar, dz^dzbar.  The differentials implemented on crossed elements:
@@ -57,7 +61,6 @@ __all__ = [
     "diff_delta",
     "diff_D",
     "diff_nabla",
-    "brs_variation",
 ]
 
 SLOTS = ((0, 0), (1, 0), (0, 1), (1, 1))
@@ -232,21 +235,28 @@ def mat_const_right(a, c):
 
 
 # ---------------------------------------------------------------------------
-# crossed elements indexed by single labels
+# crossed elements
 
 
 class CrossedForm:
-    """Finite sum of (matrix coefficient, label) terms plus an optional
-    constant matrix multiple of the unit."""
+    """Finite sum of (matrix coefficient, key) terms plus an optional
+    constant matrix multiple of the unit.
+
+    Here the keys are group labels.  ``WordCrossedForm`` shares all of the
+    arithmetic and differs only in its key policy: ``label_of`` maps a key to
+    the label its term sits over, ``_join`` multiplies two keys (None drops
+    the product) and ``_like`` builds an element of the same kind."""
+
+    dropped = 0  # label products never drop a term
 
     def __init__(self, action, size, terms=None, scalar=None):
         self.action = action
         self.size = int(size)
         self.terms = {}
         if terms:
-            for lab, mat in terms.items():
+            for key, mat in terms.items():
                 if not mat_is_zero(mat):
-                    self.terms[lab] = mat
+                    self.terms[key] = mat
         self.scalar = None if scalar is None else np.asarray(scalar, dtype=complex)
 
     @staticmethod
@@ -259,29 +269,30 @@ class CrossedForm:
     def unit(action, size):
         return CrossedForm(action, size, scalar=np.eye(size, dtype=complex))
 
-    def copy(self):
-        return CrossedForm(
-            self.action,
-            self.size,
-            dict(self.terms),
-            None if self.scalar is None else self.scalar.copy(),
-        )
+    def label_of(self, key):
+        return key
+
+    def _join(self, k1, k2):
+        return self.action.compose(k2, k1)
+
+    def _like(self, terms, scalar, dropped):
+        """An element of the same kind with these terms."""
+        return CrossedForm(self.action, self.size, terms, scalar)
 
     def add(self, other):
         out = dict(self.terms)
-        for lab, mat in other.terms.items():
-            out[lab] = mat_add(out[lab], mat) if lab in out else mat
+        for key, mat in other.terms.items():
+            out[key] = mat_add(out[key], mat) if key in out else mat
         s = self.scalar
         if other.scalar is not None:
             s = other.scalar if s is None else s + other.scalar
-        return CrossedForm(self.action, self.size, out, s)
+        return self._like(out, s, self.dropped + other.dropped)
 
     def scale(self, s):
-        return CrossedForm(
-            self.action,
-            self.size,
-            {lab: mat_scale(m, s) for lab, m in self.terms.items()},
+        return self._like(
+            {key: mat_scale(m, s) for key, m in self.terms.items()},
             None if self.scalar is None else self.scalar * s,
+            self.dropped,
         )
 
     def neg(self):
@@ -291,58 +302,64 @@ class CrossedForm:
         return self.add(other.neg())
 
     def mul(self, other):
-        act = self.action
         terms = {}
         scalar = None
+        dropped = self.dropped + other.dropped
 
-        def put(lab, mat):
-            if lab in terms:
-                terms[lab] = mat_add(terms[lab], mat)
+        def put(key, mat):
+            if key in terms:
+                terms[key] = mat_add(terms[key], mat)
             else:
-                terms[lab] = mat
+                terms[key] = mat
 
         if self.scalar is not None and other.scalar is not None:
             scalar = self.scalar @ other.scalar
         if self.scalar is not None:
-            for lab, mat in other.terms.items():
-                put(lab, mat_const_left(self.scalar, mat))
+            for key, mat in other.terms.items():
+                put(key, mat_const_left(self.scalar, mat))
         if other.scalar is not None:
-            for lab, mat in self.terms.items():
-                put(lab, mat_const_right(mat, other.scalar))
-        for l1, m1 in self.terms.items():
-            g1 = l1.cmap
-            for l2, m2 in other.terms.items():
-                prod_label = act.compose(l2, l1)
+            for key, mat in self.terms.items():
+                put(key, mat_const_right(mat, other.scalar))
+        for k1, m1 in self.terms.items():
+            g1 = self.label_of(k1).cmap
+            for k2, m2 in other.terms.items():
+                key = self._join(k1, k2)
+                if key is None:
+                    dropped += 1
+                    continue
                 pulled = mat_map(m2, lambda c: c.pullback(g1))
-                put(prod_label, mat_wedge_mul(m1, pulled))
-        return CrossedForm(act, self.size, terms, scalar)
+                put(key, mat_wedge_mul(m1, pulled))
+        return self._like(terms, scalar, dropped)
 
     def trace_entries(self):
-        """Diagonal sum per label, as one FormCoefficient each."""
+        """Diagonal sum per key, as one FormCoefficient each."""
         out = {}
-        for lab, mat in self.terms.items():
+        for key, mat in self.terms.items():
             acc = FormCoefficient.zero()
             for i in range(self.size):
                 acc = acc.add(mat[i][i])
-            out[lab] = acc
+            out[key] = acc
         return out
 
-    def sample_value(self, label, z, p=0, q=0):
-        """Matrix of slot values at a point, for tests."""
-        mat = self.terms.get(label)
+    def sample_value(self, key, z, p=0, q=0):
+        """Matrix of slot values at a point, for tests; the constant part
+        shows at the unit label only, never at a word."""
+        mat = self.terms.get(key)
         n = self.size
         out = np.zeros((n, n), dtype=complex)
         if mat is not None:
             for i in range(n):
                 for j in range(n):
                     out[i, j] = F.eval_field(mat[i][j].get(p, q), z)
-        if label is self.action.unit and p == 0 and q == 0 and self.scalar is not None:
+        if key is self.action.unit and p == 0 and q == 0 and self.scalar is not None:
             out = out + self.scalar
         return out
 
     def __repr__(self):
-        labs = ",".join(l.name for l in self.terms)
-        return f"CrossedForm(size={self.size}, labels=[{labs}], scalar={'yes' if self.scalar is not None else 'no'})"
+        return (
+            f"{type(self).__name__}(size={self.size}, terms={len(self.terms)}, "
+            f"scalar={'yes' if self.scalar is not None else 'no'}, dropped={self.dropped})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +367,14 @@ class CrossedForm:
 
 
 def _apply_slotmap(x, slot_fn):
-    """Rebuild a crossed element by transforming each (label, matrix) with a
-    per-label slot transformation; constant parts die."""
+    """Rebuild a crossed element by transforming each (key, matrix) with a
+    per-key slot transformation; constant parts die."""
     cls_terms = {}
     for lab, mat in x.terms.items():
         new = mat_map(mat, lambda c: slot_fn(lab, c))
         if not mat_is_zero(new):
             cls_terms[lab] = new
-    if isinstance(x, WordCrossedForm):
-        return WordCrossedForm(x.action, x.size, x.cap, cls_terms, None, x.dropped)
-    return CrossedForm(x.action, x.size, cls_terms, None)
-
-
-def _label_map(x, key):
-    if isinstance(x, WordCrossedForm):
-        return word_mu(x.action, key).cmap
-    return key.cmap
+    return x._like(cls_terms, None, x.dropped)
 
 
 def _fc_partial(c):
@@ -402,7 +411,7 @@ def diff_D(x):
     cache = {}
 
     def fn(lab, c):
-        g = _label_map(x, lab)
+        g = x.label_of(lab).cmap
         if g.is_identity_germ():
             return FormCoefficient.zero()
         key = id(g)
@@ -418,7 +427,7 @@ def diff_delta(x):
     cache = {}
 
     def fn(lab, c):
-        g = _label_map(x, lab)
+        g = x.label_of(lab).cmap
         if g.is_identity_germ():
             return FormCoefficient.zero()
         key = id(g)
@@ -471,7 +480,7 @@ def _key_sort(key):
     return (0, len(key), tuple(l.index for l in key))
 
 
-class WordCrossedForm:
+class WordCrossedForm(CrossedForm):
     """Crossed element fibered over tensor words, truncated by word length.
 
     Keys are tuples of labels, or DWord triples for one-form words.  The
@@ -480,19 +489,15 @@ class WordCrossedForm:
     length exceeds the cap are dropped and counted."""
 
     def __init__(self, action, size, cap, terms=None, scalar=None, dropped=0):
-        self.action = action
-        self.size = int(size)
         self.cap = int(cap)
-        self.terms = {}
         self.dropped = int(dropped)
-        if terms:
-            for key, mat in terms.items():
-                if word_length(key) > self.cap:
-                    self.dropped += 1
-                    continue
-                if not mat_is_zero(mat):
-                    self.terms[key] = mat
-        self.scalar = None if scalar is None else np.asarray(scalar, dtype=complex)
+        kept = {}
+        for key, mat in (terms or {}).items():
+            if word_length(key) > self.cap:
+                self.dropped += 1
+            else:
+                kept[key] = mat
+        super().__init__(action, size, kept, scalar)
 
     @staticmethod
     def unit(action, size, cap):
@@ -505,80 +510,35 @@ class WordCrossedForm:
         terms = {(lab,): mat for lab, mat in x.terms.items()}
         return WordCrossedForm(x.action, x.size, cap, terms, x.scalar)
 
+    def label_of(self, key):
+        return word_mu(self.action, key)
+
+    def _join(self, k1, k2):
+        if word_length(k1) + word_length(k2) > self.cap:
+            return None
+        d1, d2 = isinstance(k1, DWord), isinstance(k2, DWord)
+        if d1 and d2:
+            raise ValueError("cannot multiply two one-form words")
+        if d1:
+            return DWord(k1.pre, k1.mid, k1.post + k2)
+        if d2:
+            return DWord(k1 + k2.pre, k2.mid, k2.post)
+        return k1 + k2
+
+    def _like(self, terms, scalar, dropped):
+        return WordCrossedForm(self.action, self.size, self.cap, terms, scalar, dropped)
+
+    # an attribute of this class too, so that wrapping CrossedForm.mul by
+    # name (a tracer, a profiler) does not wrap word products as well
+    mul = CrossedForm.mul
+
     def mu_image(self):
         """Collapse words to their labels; an exact algebra map."""
         out = {}
         for key, mat in self.terms.items():
-            lab = word_mu(self.action, key)
+            lab = self.label_of(key)
             out[lab] = mat_add(out[lab], mat) if lab in out else mat
         return CrossedForm(self.action, self.size, out, self.scalar)
-
-    def add(self, other):
-        out = dict(self.terms)
-        for key, mat in other.terms.items():
-            out[key] = mat_add(out[key], mat) if key in out else mat
-        s = self.scalar
-        if other.scalar is not None:
-            s = other.scalar if s is None else s + other.scalar
-        return WordCrossedForm(
-            self.action, self.size, self.cap, out, s, self.dropped + other.dropped
-        )
-
-    def scale(self, s):
-        return WordCrossedForm(
-            self.action,
-            self.size,
-            self.cap,
-            {k: mat_scale(m, s) for k, m in self.terms.items()},
-            None if self.scalar is None else self.scalar * s,
-            self.dropped,
-        )
-
-    def neg(self):
-        return self.scale(-1.0)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def mul(self, other):
-        act = self.action
-        terms = {}
-        scalar = None
-        dropped = self.dropped + other.dropped
-
-        def put(key, mat):
-            if key in terms:
-                terms[key] = mat_add(terms[key], mat)
-            else:
-                terms[key] = mat
-
-        def join(k1, k2):
-            d1, d2 = isinstance(k1, DWord), isinstance(k2, DWord)
-            if d1 and d2:
-                raise ValueError("cannot multiply two one-form words")
-            if d1:
-                return DWord(k1.pre, k1.mid, k1.post + k2)
-            if d2:
-                return DWord(k1 + k2.pre, k2.mid, k2.post)
-            return k1 + k2
-
-        if self.scalar is not None and other.scalar is not None:
-            scalar = self.scalar @ other.scalar
-        if self.scalar is not None:
-            for key, mat in other.terms.items():
-                put(key, mat_const_left(self.scalar, mat))
-        if other.scalar is not None:
-            for key, mat in self.terms.items():
-                put(key, mat_const_right(mat, other.scalar))
-        for k1, m1 in self.terms.items():
-            g1 = word_mu(act, k1).cmap
-            for k2, m2 in other.terms.items():
-                if word_length(k1) + word_length(k2) > self.cap:
-                    dropped += 1
-                    continue
-                pulled = mat_map(m2, lambda c: c.pullback(g1))
-                put(join(k1, k2), mat_wedge_mul(m1, pulled))
-        return WordCrossedForm(act, self.size, self.cap, terms, scalar, dropped)
 
     def power(self, n):
         out = WordCrossedForm.unit(self.action, self.size, self.cap)
@@ -588,40 +548,3 @@ class WordCrossedForm:
 
     def sorted_keys(self):
         return sorted(self.terms.keys(), key=_key_sort)
-
-    def sample_value(self, key, z, p=0, q=0):
-        mat = self.terms.get(key)
-        n = self.size
-        out = np.zeros((n, n), dtype=complex)
-        if mat is not None:
-            for i in range(n):
-                for j in range(n):
-                    out[i, j] = F.eval_field(mat[i][j].get(p, q), z)
-        return out
-
-    def __repr__(self):
-        return (
-            f"WordCrossedForm(size={self.size}, cap={self.cap}, "
-            f"words={len(self.terms)}, dropped={self.dropped})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# gauge variation
-
-
-def brs_variation(A, omega):
-    """Variation of a connection-type element A along a one-form word element
-    omega:
-
-        var A = - (dzbar dbar omega)  -  (A omega + omega A),
-
-    all three terms living over one-form words.  A has plain word keys and
-    (0, q) coefficients; omega has marked-letter keys."""
-    act = A.action
-    out = WordCrossedForm(act, A.size, A.cap)
-    qterm = _apply_slotmap(omega, lambda lab, c: _fc_partial_bar(c))
-    out = out.sub(qterm)
-    out = out.sub(A.mul(omega))
-    out = out.sub(omega.mul(A))
-    return out

@@ -24,8 +24,9 @@ from . import dist as DK
 from . import fields as F
 from . import groupoid as G
 from . import pairing as P
+from . import quadrature as Q
 from . import tensoralg as T
-from .algebra import CrossedForm, FormCoefficient, WordCrossedForm, fc_field, word_mu
+from .algebra import CrossedForm, FormCoefficient, WordCrossedForm, fc_field
 from .algebra import diff_d, diff_delta, diff_nabla, diff_partial_bar
 
 __all__ = ["main", "run"]
@@ -141,7 +142,7 @@ def _cmd_todd(scn, args):
     if not section:
         raise CF.ConfigError("todd: missing section")
     a0, a1, a2 = (scn.element(n, "todd.args") for n in section["args"])
-    kw = dict(tol=scn.tol, max_depth=scn.depth, threads=args.threads)
+    kw = dict(tol=scn.tol, max_depth=scn.depth)
     defect, direct, fc, c1 = C.todd_dual_defect(a0, a1, a2, **kw)
     payload = {
         "todd": _cj(direct.value),
@@ -174,7 +175,6 @@ def _cmd_pair_even(scn, args):
         scn.truncation,
         tol=scn.tol,
         max_depth=scn.depth,
-        threads=args.threads,
     )
     words = [
         {
@@ -222,7 +222,6 @@ def _cmd_pair_odd(scn, args):
         psi=psi,
         tol=scn.tol,
         max_depth=scn.depth,
-        threads=args.threads,
     )
     words = [
         {"word": _word_names(w), "dletter": b.name, "value": _cj(m[0][0])}
@@ -274,7 +273,7 @@ def _cmd_anomaly(scn, args):
             {"word": _word_names(nk[0]), "dletter": nk[1].name, "value": _cj(got)}
         )
 
-    r1 = P.anomaly_delta1(A, om, tol=scn.tol, max_depth=scn.depth, threads=args.threads)
+    r1 = P.anomaly_delta1(A, om, tol=scn.tol, max_depth=scn.depth)
     d1_words = [
         {
             "word": _word_names(nk[0]),
@@ -310,7 +309,7 @@ def _cmd_dist_check(scn, args):
         name = spec.get("name", f"{kind}[{i}]")
         tol = float(spec.get("tol", _DIST_TOLS.get(kind, 1e-6)))
         phi = CF.parse_field(spec["phi"], path + ".phi")
-        qkw = dict(tol=scn.tol, max_depth=scn.depth, threads=args.threads)
+        qkw = dict(tol=scn.tol, max_depth=scn.depth)
         if kind == "dolbeault":
             z0 = CF.parse_complex(spec["z0"], path + ".z0")
             lhs, rhs, defect = DK.check_dolbeault(z0, phi, **qkw)
@@ -378,22 +377,7 @@ def _rand_crossed(act, rng, degrees=((0, 0),)):
     return CrossedForm(act, 1, terms)
 
 
-def _bott_idempotent():
-    act = G.trivial_action(F.Disk(0.0, 2.5))
-    B = F.bump_field(0.0, 1.0, 2.0)
-    R = F.frecip(F.fadd(F.fmul(B, B), F.fmul(F.fz(), F.fzbar())))
-    e11 = F.fmul(R, F.fmul(B, B))
-    e12 = F.fmul(R, F.fmul(B, F.fzbar()))
-    e21 = F.fmul(R, F.fmul(B, F.fz()))
-    e22 = F.fneg(F.fmul(R, F.fmul(B, B)))
-    for f in (e11, e12, e21, e22):
-        f.support = F.Disk(0.0, 2.0)
-    mat = [[fc_field(e11), fc_field(e12)], [fc_field(e21), fc_field(e22)]]
-    e = CrossedForm(act, 2, {act.unit: mat}, [[0.0, 0.0], [0.0, 1.0]])
-    return act, e
-
-
-def _verify_checks(rng, tol, depth, cap, threads):
+def _verify_checks(rng, tol, depth, cap):
     checks = []
     act = _std_action()
 
@@ -460,7 +444,7 @@ def _verify_checks(rng, tol, depth, cap, threads):
         return CrossedForm(triv, 1, {u: [[_rand_coeff(rng, (deg,))]]})
 
     a0, a1, a2, a3 = tcf((0, 0)), tcf((0, 0)), tcf((0, 0)), tcf((0, 0))
-    kw = dict(tol=tol, max_depth=depth, threads=threads)
+    kw = dict(tol=tol, max_depth=depth)
 
     # the dual-path identity needs curvature: parabolic germs whose product
     # is the identity, so the connection term survives on the unit words
@@ -504,22 +488,22 @@ def _verify_checks(rng, tol, depth, cap, threads):
     )
     checks.append(_check("lift-inverse-certified", resid2, 1e-12))
 
-    bact, be = _bott_idempotent()
+    bact, be = P.bott_projector()
     e_til = T.lift_idempotent(be, cap)
     checks.append(
         _check("lift-idempotent", T.crossed_max_abs(e_til.mul(e_til).sub(e_til)), 1e-10)
     )
 
-    res = P.pair_even(be, 2, tol=max(tol, 1e-6), max_depth=depth, threads=threads)
+    res = P.pair_even(be, 2, tol=max(tol, 1e-6), max_depth=depth)
     checks.append(_check("bott-collapsed", abs(res.collapsed + 1.0), 1e-4))
 
     # distributional identities
     phi = F.bumped(_rand_poly(rng), 0.0, 0.3, 0.5)
     z0 = complex(*(0.1 * rng.normal(size=2)))
-    _, _, dd = DK.check_dolbeault(z0, phi, tol=tol, max_depth=depth, threads=threads)
+    _, _, dd = DK.check_dolbeault(z0, phi, tol=tol, max_depth=depth)
     checks.append(_check("kernel-dolbeault", dd, 1e-5))
     cv = DK.check_covariance(
-        2, G.AffineMap(2.0, 0.0), 0.0, phi, tol=tol, max_depth=depth, threads=threads
+        2, G.AffineMap(2.0, 0.0), 0.0, phi, tol=tol, max_depth=depth
     )
     checks.append(_check("kernel-covariance", cv, 1e-5))
     c = complex(*rng.normal(size=2))
@@ -555,7 +539,7 @@ def _verify_checks(rng, tol, depth, cap, threads):
         cross = max(cross, abs(gotv - ref.get(nk, 0j)))
     checks.append(_check("delta0-cross-path", cross, 0.0))
     r1 = P.anomaly_delta1(
-        WordCrossedForm.from_crossed(a_el, 2), om, tol=tol, max_depth=depth, threads=threads
+        WordCrossedForm.from_crossed(a_el, 2), om, tol=tol, max_depth=depth
     )
     checks.append(_check("delta1-dual-path", r1.defect, 2.0 * tol))
 
@@ -568,7 +552,7 @@ def _cmd_verify(scn, args):
     tol = args.tol if args.tol is not None else (scn.tol if scn else 1e-6)
     depth = args.depth if args.depth is not None else (scn.depth if scn else 12)
     cap = args.trunc if args.trunc is not None else (scn.truncation if scn else 3)
-    checks = _verify_checks(rng, tol, depth, cap, args.threads)
+    checks = _verify_checks(rng, tol, depth, cap)
     return {}, checks
 
 
@@ -589,12 +573,6 @@ def build_parser():
     ap.add_argument("--trunc", type=int, default=None, help="word-length cap")
     ap.add_argument("--jet-order", type=int, default=None, help="jet length")
     ap.add_argument("--seed", type=int, default=None, help="generator seed")
-    ap.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="threads for integrand evaluation; results are the same at any count",
-    )
     ap.add_argument("--out", default=None, help="write the report here")
     return ap
 
@@ -644,11 +622,23 @@ def run(command, scenario_path, args):
     return report
 
 
+# a bad scenario, or a computation that cannot give a trustworthy number
+_ERRORS = (
+    CF.ConfigError,
+    Q.NonConvergenceError,
+    C.PlateauError,
+    F.FieldDomainError,
+    F.UnsupportedOrderError,
+    T.CertificateError,
+    P.InternalConsistencyError,
+)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         report = run(args.command, args.scenario, args)
-    except CF.ConfigError as exc:
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = json.dumps(report, sort_keys=True, indent=2, default=str) + "\n"

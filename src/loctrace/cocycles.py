@@ -20,22 +20,10 @@ restriction.
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
-
 from . import fields as F
-from .algebra import (
-    CrossedForm,
-    WordCrossedForm,
-    diff_d,
-    diff_delta,
-    diff_nabla,
-    word_mu,
-)
+from .algebra import CrossedForm, diff_d, diff_delta, diff_nabla
 from .groupoid import (
     GroupAction,
-    GroupLabel,
     automorphism_order,
     compose_maps,
     fixed_points,
@@ -106,6 +94,21 @@ def _phi_one_term(cmap, mat, region, jet_order, n_max, pad, tag, breakdown):
     return total
 
 
+def _trace_values(x, keys, region, jet_order, n_max, pad, breakdown):
+    """Trace contribution per key, in the given order; keys over identity
+    germs contribute nothing and are left out."""
+    region = region or x.action.domain
+    out = {}
+    for key in keys:
+        lab = x.label_of(key)
+        if lab.cmap.is_identity_germ():
+            continue
+        out[key] = _phi_one_term(
+            lab.cmap, x.terms[key], region, jet_order, n_max, pad, lab.name, breakdown
+        )
+    return out
+
+
 def phi_trace(
     x,
     region=None,
@@ -116,34 +119,18 @@ def phi_trace(
     """Localized fixed-point trace of a crossed element.  Identity germs and
     the constant part contribute nothing; each isolated fixed point of the
     other labels contributes its extraction coefficient."""
-    region = region or x.action.domain
     breakdown = []
     total = 0j
-    for lab, mat in x.terms.items():
-        if lab.cmap.is_identity_germ():
-            continue
-        total += _phi_one_term(
-            lab.cmap, mat, region, jet_order, n_max, pad, lab.name, breakdown
-        )
+    for v in _trace_values(x, x.terms, region, jet_order, n_max, pad, breakdown).values():
+        total += v
     return CocycleValue(total, 0.0, breakdown)
 
 
 def phi_trace_words(x, region=None, jet_order=16, n_max=8):
     """Wordwise localized trace of a word-indexed element: a map from word
     keys to complex numbers (zero-valued words are kept out)."""
-    region = region or x.action.domain
-    out = {}
-    for key in x.sorted_keys():
-        lab = word_mu(x.action, key)
-        if lab.cmap.is_identity_germ():
-            continue
-        breakdown = []
-        v = _phi_one_term(
-            lab.cmap, x.terms[key], region, jet_order, n_max, 0, lab.name, breakdown
-        )
-        if v != 0:
-            out[key] = v
-    return out
+    got = _trace_values(x, x.sorted_keys(), region, jet_order, n_max, 0, [])
+    return {key: v for key, v in got.items() if v != 0}
 
 
 def _integrand(field):
@@ -153,7 +140,7 @@ def _integrand(field):
     return f
 
 
-def _unit_integral(mat, tol, max_depth, threads, tag):
+def _unit_integral(mat, tol, max_depth, tag):
     field = _diag_sum(mat, 1, 1)
     if field.is_structural_zero():
         return 0j, 0.0
@@ -164,7 +151,7 @@ def _unit_integral(mat, tol, max_depth, threads, tag):
     bb = field.support.bbox()
     if bb is None:
         raise ValueError(f"cannot integrate the coefficient at {tag}: unbounded support")
-    res = integrate_box(_integrand(field), bb, tol, max_depth, threads)
+    res = integrate_box(_integrand(field), bb, tol, max_depth)
     if not res.converged:
         raise NonConvergenceError(
             f"unit integral at {tag} did not converge (est {res.est_error:.3g})"
@@ -173,60 +160,58 @@ def _unit_integral(mat, tol, max_depth, threads, tag):
     return -2j * res.value, 2.0 * res.est_error
 
 
-def integrate_units(x, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
-    """Integrate the top-degree slot of the identity-germ coefficients over
-    the plane.  Constant parts carry no top-degree slot and drop out."""
-    total = 0j
-    est = 0.0
-    breakdown = []
-    for lab, mat in x.terms.items():
-        if not lab.cmap.is_identity_germ():
-            continue
-        v, e = _unit_integral(mat, tol, max_depth, threads, lab.name)
-        breakdown.append((lab.name, v))
-        total += v
-        est += e
-    return CocycleValue(total, est, breakdown)
-
-
-def integrate_units_words(x, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
-    """Wordwise unit integration of a word-indexed element."""
+def _unit_values(x, keys, tol, max_depth):
+    """Unit integral per identity-germ key, in the given order, and the sum
+    of their error estimates."""
     out = {}
     est = 0.0
-    for key in x.sorted_keys():
-        lab = word_mu(x.action, key)
-        if not lab.cmap.is_identity_germ():
+    for key in keys:
+        if not x.label_of(key).cmap.is_identity_germ():
             continue
-        v, e = _unit_integral(x.terms[key], tol, max_depth, threads, str(key))
+        out[key], e = _unit_integral(x.terms[key], tol, max_depth, key)
         est += e
-        if v != 0:
-            out[key] = v
     return out, est
 
 
-def fundamental_class(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def integrate_units(x, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
+    """Integrate the top-degree slot of the identity-germ coefficients over
+    the plane.  Constant parts carry no top-degree slot and drop out."""
+    got, est = _unit_values(x, x.terms, tol, max_depth)
+    total = 0j
+    for v in got.values():
+        total += v
+    return CocycleValue(total, est, [(lab.name, v) for lab, v in got.items()])
+
+
+def integrate_units_words(x, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
+    """Wordwise unit integration of a word-indexed element."""
+    got, est = _unit_values(x, x.sorted_keys(), tol, max_depth)
+    return {key: v for key, v in got.items() if v != 0}, est
+
+
+def fundamental_class(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Integral of a0 da1 da2 over the units."""
     x = a0.mul(diff_d(a1)).mul(diff_d(a2))
-    return integrate_units(x, tol, max_depth, threads)
+    return integrate_units(x, tol, max_depth)
 
 
-def chern1(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def chern1(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Integral of a0 (da1 delta a2 + delta a1 da2) over the units."""
     inner = diff_d(a1).mul(diff_delta(a2)).add(diff_delta(a1).mul(diff_d(a2)))
-    return integrate_units(a0.mul(inner), tol, max_depth, threads)
+    return integrate_units(a0.mul(inner), tol, max_depth)
 
 
-def todd(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def todd(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Integral of a0 nabla a1 nabla a2 over the units."""
     x = a0.mul(diff_nabla(a1)).mul(diff_nabla(a2))
-    return integrate_units(x, tol, max_depth, threads)
+    return integrate_units(x, tol, max_depth)
 
 
-def todd_dual_defect(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def todd_dual_defect(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Difference between the direct Todd route and fundamental - chern1/2."""
-    direct = todd(a0, a1, a2, tol, max_depth, threads)
-    fc = fundamental_class(a0, a1, a2, tol, max_depth, threads)
-    c1 = chern1(a0, a1, a2, tol, max_depth, threads)
+    direct = todd(a0, a1, a2, tol, max_depth)
+    fc = fundamental_class(a0, a1, a2, tol, max_depth)
+    c1 = chern1(a0, a1, a2, tol, max_depth)
     other = fc.value - 0.5 * c1.value
     return abs(direct.value - other), direct, fc, c1
 

@@ -59,7 +59,7 @@ class RenormKernel:
         return f"RenormKernel(n={self.n}, z0={self.z0:.6g}{s})"
 
 
-def _cauchy_pair(z0, psi, tol, max_depth, threads):
+def _cauchy_pair(z0, psi, tol, max_depth):
     """Integral of psi(z)/(z - z0) over the plane, d^2 z measure."""
     if psi.is_structural_zero():
         return 0j, 0.0
@@ -84,9 +84,7 @@ def _cauchy_pair(z0, psi, tol, max_depth, threads):
             pts = z0 + r * np.exp(1j * th)
             return np.exp(-1j * th) * F.eval_field(near, pts)
 
-        res = integrate_rect(
-            f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth, threads
-        )
+        res = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
         value += res.value
         est += res.est_error
         converged = converged and res.converged
@@ -102,7 +100,7 @@ def _cauchy_pair(z0, psi, tol, max_depth, threads):
             safe = np.abs(den) > guard
             return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
 
-        res = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth, threads)
+        res = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth)
         value += res.value
         est += res.est_error
         converged = converged and res.converged
@@ -114,10 +112,10 @@ def _cauchy_pair(z0, psi, tol, max_depth, threads):
     return value, est
 
 
-def pair_kernel(K, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def pair_kernel(K, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Pair a renormalized kernel with a compactly supported field."""
     psi = phi if K.n == 1 else F.fderiv(phi, K.n - 1, 0)
-    raw, _ = _cauchy_pair(K.z0, psi, tol, max_depth, threads)
+    raw, _ = _cauchy_pair(K.z0, psi, tol, max_depth)
     sign = -1.0 if K.n % 2 == 0 else 1.0
     out = sign / math.pi * raw
     if K.shift != 0:
@@ -125,13 +123,13 @@ def pair_kernel(K, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
     return out
 
 
-def check_dolbeault(z0, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1):
+def check_dolbeault(z0, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """zbar-derivative of the Cauchy kernel against phi, versus phi(z0).
 
     Returns (lhs, rhs, defect) where lhs moves the zbar-derivative onto phi
     and rhs is the point evaluation the distributional identity predicts.
     """
-    raw, _ = _cauchy_pair(z0, F.fderiv(phi, 0, 1), tol, max_depth, threads)
+    raw, _ = _cauchy_pair(z0, F.fderiv(phi, 0, 1), tol, max_depth)
     lhs = -raw / math.pi
     rhs = complex(F.eval_field(phi, z0))
     return lhs, rhs, abs(lhs - rhs)
@@ -147,9 +145,7 @@ def _ratio_power(h, z0, n):
     return F.fconst(h.a ** (-n))
 
 
-def check_covariance(
-    n, h, z0, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH, threads=1
-):
+def check_covariance(n, h, z0, phi, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Conformal covariance defect of the order-n kernel under w = h(z).
 
     The left side multiplies the kernel at z0 by the smooth n-th power of the
@@ -171,7 +167,7 @@ def check_covariance(
                 )
 
     side_a = pair_kernel(
-        RenormKernel(n, z0), F.fmul(_ratio_power(h, z0, n), phi), tol, max_depth, threads
+        RenormKernel(n, z0), F.fmul(_ratio_power(h, z0, n), phi), tol, max_depth
     )
 
     hinv = h.inverse()
@@ -179,5 +175,5 @@ def check_covariance(
     gp = hinv.g_prime_tree()
     jac = F.ScalarField(F.Mul(gp, F.Conj(gp)), None)
     psi = F.fmul(F.fpullback(phi, hinv), jac)
-    side_b = pair_kernel(RenormKernel(n, w0), psi, tol, max_depth, threads)
+    side_b = pair_kernel(RenormKernel(n, w0), psi, tol, max_depth)
     return abs(side_a - side_b)

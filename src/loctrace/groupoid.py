@@ -42,7 +42,6 @@ __all__ = [
     "fixed_points",
     "automorphism_order",
     "Automorphism",
-    "enumerate_automorphisms",
     "GroupLabel",
     "MatrixMobiusAction",
     "FiniteCyclicAction",
@@ -633,32 +632,6 @@ def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, n_max=DEFAULT_N_MAX, 
             f"local order {v} at {z0} exceeds the configured bound {n_max}"
         )
     return Automorphism(label, g, z0, v, d, jet_order)
-
-
-def enumerate_automorphisms(
-    action,
-    labels=None,
-    region=None,
-    jet_order=DEFAULT_JET_ORDER,
-    n_max=DEFAULT_N_MAX,
-):
-    """Split labels into identity germs and lists of localized automorphisms
-    at their isolated fixed points, deterministically ordered."""
-    labels = list(labels) if labels is not None else list(action.labels())
-    region = region or action.domain
-    germs, isolated = [], []
-    for lab in labels:
-        g = lab.cmap
-        if g.is_identity_germ():
-            germs.append(lab)
-            continue
-        pts = fixed_points(g, region)
-        for z0 in pts:
-            isolated.append(
-                automorphism_order(g, z0, jet_order, n_max, label=lab)
-            )
-    isolated.sort(key=lambda a: (a.label.index, round(a.z0.real, 12), round(a.z0.imag, 12)))
-    return isolated, germs
 
 
 # ---------------------------------------------------------------------------

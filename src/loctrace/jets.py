@@ -11,22 +11,17 @@ evaluation of expression trees happens at this level.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
     "Jet1",
     "Jet2",
     "valuation",
-    "j_add",
     "j_mul",
-    "j_scale",
     "j_compose",
     "j_div_valuation",
     "identity_jet",
     "monomial_jet",
-    "map_jet",
 ]
 
 # Coefficients below tol*max(1, largest coefficient) count as zero when
@@ -89,16 +84,6 @@ def monomial_jet(base, n, order):
 def _check_same_base(a, b):
     if abs(a.base - b.base) > 1e-9 * max(1.0, abs(a.base)):
         raise ValueError(f"jet bases differ: {a.base} vs {b.base}")
-
-
-def j_add(a, b):
-    _check_same_base(a, b)
-    n = min(a.order, b.order)
-    return Jet1(a.base, a.coeffs[: n + 1] + b.coeffs[: n + 1])
-
-
-def j_scale(a, s):
-    return Jet1(a.base, a.coeffs * complex(s))
 
 
 def j_mul(a, b, order=None):
@@ -190,12 +175,6 @@ def j_compose(outer, inner):
     return acc
 
 
-def map_jet(g, z0, order):
-    """Jet of a conformal map at z0.  Delegates to the map object, which
-    knows its own exact coefficient recurrences."""
-    return g.jet_at(z0, order)
-
-
 class Jet2:
     """Bivariate jet at a base point: coefficients c[(p, q)] of the expansion
     sum c_{p,q} (z-base)^p (conj(z-base))^q with p+q <= order.  Missing keys
@@ -224,25 +203,3 @@ class Jet2:
             f"({p},{q}): {v:.6g}" for (p, q), v in sorted(self.coeffs.items())
         )
         return f"Jet2(base={self.base:.6g}, order={self.order}, {{{items}}})"
-
-
-def jet2_mul(a, b, order=None):
-    _check_same_base(a, b)
-    n = min(a.order, b.order)
-    if order is not None:
-        n = min(n, order)
-    out = {}
-    for (p1, q1), v1 in a.coeffs.items():
-        if p1 + q1 > n:
-            continue
-        for (p2, q2), v2 in b.coeffs.items():
-            p, q = p1 + p2, q1 + q2
-            if p + q > n:
-                continue
-            out[(p, q)] = out.get((p, q), 0j) + v1 * v2
-    return Jet2(a.base, n, out)
-
-
-def perm(n, k):
-    """Falling factorial n! / (n-k)!."""
-    return math.perm(n, k)

@@ -16,26 +16,16 @@ truncated representative is reported as a diagnostic.
 import cmath
 import math
 
-import numpy as np
-
 from . import fields as F
-from .algebra import (
-    CrossedForm,
-    DWord,
-    WordCrossedForm,
-    diff_nabla,
-    word_mu,
-)
+from .algebra import CrossedForm, DWord, diff_nabla, fc_field, word_mu
 from .cocycles import (
     DEFAULT_DEPTH,
     DEFAULT_TOL,
-    CocycleValue,
     integrate_units,
     integrate_units_words,
-    phi_trace,
     phi_trace_words,
 )
-from .groupoid import automorphism_order, fixed_points
+from .groupoid import automorphism_order, fixed_points, trivial_action
 from .quadrature import NonConvergenceError, integrate_box
 from .tensoralg import (
     TruncatedSeries,
@@ -79,13 +69,29 @@ def _scalar_oneform(action, cap, values):
     return UniversalOneForm(action, 1, cap, {k: [[v]] for k, v in values.items()})
 
 
+def bott_projector():
+    """Rank-one projector built from a radial window; exactly idempotent.
+    It carries the Bott class: its even pairing is -1."""
+    act = trivial_action(F.Disk(0.0, 2.5))
+    B = F.bump_field(0.0, 1.0, 2.0)
+    R = F.frecip(F.fadd(F.fmul(B, B), F.fmul(F.fz(), F.fzbar())))
+    e11 = F.fmul(R, F.fmul(B, B))
+    e12 = F.fmul(R, F.fmul(B, F.fzbar()))
+    e21 = F.fmul(R, F.fmul(B, F.fz()))
+    e22 = F.fneg(F.fmul(R, F.fmul(B, B)))
+    for f in (e11, e12, e21, e22):
+        f.support = F.Disk(0.0, 2.0)
+    mat = [[fc_field(e11), fc_field(e12)], [fc_field(e21), fc_field(e22)]]
+    e = CrossedForm(act, 2, {act.unit: mat}, [[0.0, 0.0], [0.0, 1.0]])
+    return act, e
+
+
 def pair_even(
     e,
     cap,
     region=None,
     tol=DEFAULT_TOL,
     max_depth=DEFAULT_DEPTH,
-    threads=1,
 ):
     """Even cap-product pairing of a relative idempotent.
 
@@ -101,7 +107,7 @@ def pair_even(
     prod = e_til.mul(nab).mul(nab)
 
     phi_part = phi_trace_words(e_til, region)
-    int_part, est = integrate_units_words(prod, tol, max_depth, threads)
+    int_part, est = integrate_units_words(prod, tol, max_depth)
 
     values = {}
     for w, v in phi_part.items():
@@ -113,7 +119,7 @@ def pair_even(
     # collapse-early: mu(e~) = e exactly, so the collapsed pairing is the
     # crossed-level integral; no word is ever dropped on this route
     e_nab = diff_nabla(e)
-    direct = integrate_units(e.mul(e_nab).mul(e_nab), tol, max_depth, threads)
+    direct = integrate_units(e.mul(e_nab).mul(e_nab), tol, max_depth)
     collapsed = -direct.value / TWO_PI_I
 
     naive = 0.0 + 0.0j
@@ -138,7 +144,6 @@ def pair_odd(
     region=None,
     tol=DEFAULT_TOL,
     max_depth=DEFAULT_DEPTH,
-    threads=1,
 ):
     """Odd cap-product pairing of a relative invertible (certified).
 
@@ -155,7 +160,7 @@ def pair_odd(
 
     phi_part = phi_trace_words(omega, region)
     heavy = u_inv.mul(diff_nabla(u_hat)).mul(diff_nabla(u_inv)).mul(du)
-    int_part, est = integrate_units_words(heavy, tol, max_depth, threads)
+    int_part, est = integrate_units_words(heavy, tol, max_depth)
 
     c2 = -1.0 / (2.0 * TWO_PI_I * SQRT_TWO_PI_I)
     values = {}
@@ -228,7 +233,7 @@ class Delta1Result:
         return f"Delta1Result(defect={self.defect:.3g})"
 
 
-def _pair_quad(field, tol, max_depth, threads):
+def _pair_quad(field, tol, max_depth):
     if field.is_structural_zero():
         return 0.0 + 0.0j, 0.0
     bb = None if field.support is None else field.support.bbox()
@@ -238,7 +243,7 @@ def _pair_quad(field, tol, max_depth, threads):
     def f(z):
         return F.eval_field(field, z)
 
-    res = integrate_box(f, bb, tol, max_depth, threads)
+    res = integrate_box(f, bb, tol, max_depth)
     if not res.converged:
         raise NonConvergenceError(
             f"anomaly integral did not converge (est {res.est_error:.3g})"
@@ -251,7 +256,6 @@ def anomaly_delta1(
     omega,
     tol=DEFAULT_TOL,
     max_depth=DEFAULT_DEPTH,
-    threads=1,
 ):
     """Unit-manifold component of the anomaly, by two routes.
 
@@ -287,14 +291,14 @@ def anomaly_delta1(
                     if kappa is not None:
                         t = F.fadd(t, F.fscale(F.fmul(kappa, a), -0.5))
                     acc = F.fadd(acc, F.fmul(t, F.fpullback(w, g)))
-            v, e = _pair_quad(acc, tol, max_depth, threads)
+            v, e = _pair_quad(acc, tol, max_depth)
             est += e
             if v != 0:
                 key = nat_key(joined)
                 explicit[key] = explicit.get(key, 0.0) + v / math.pi
 
     nabla_route = diff_nabla(A).mul(omega)
-    int_part, e2 = integrate_units_words(nabla_route, tol, max_depth, threads)
+    int_part, e2 = integrate_units_words(nabla_route, tol, max_depth)
     intrinsic = {}
     for k, v in int_part.items():
         kk = nat_key(k)

@@ -6,15 +6,12 @@ the parent value within the cell's share of the global tolerance; otherwise
 the children are refined, down to a depth limit.  Each depth level is
 evaluated in fixed blocks of 64 whole cells: the field interpreter's arrays
 for a whole level (up to 10^5 points) lie above glibc's mmap threshold, and
-faulting them in afresh cost more than the arithmetic.  Threads map the same
-blocks over a pool before one serial reduction in a fixed order, so any
-``threads`` gives the serial result bit for bit.  Across machines floats
-agree within rel 1e-12 / abs 1e-14; all else is exact.
+faulting them in afresh cost more than the arithmetic.  Evaluation and
+reduction run serially in a fixed order, so repeated runs agree bit for bit;
+across machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
 """
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -49,7 +46,7 @@ class QuadratureResult:
         )
 
 
-def _cell_values(f_xy, cells, pmap):
+def _cell_values(f_xy, cells):
     """Gauss-Legendre values for an (n, 4) array of rectangles."""
     x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
@@ -64,7 +61,7 @@ def _cell_values(f_xy, cells, pmap):
         v = np.asarray(f_xy(x[a : a + b], y[a : a + b]), dtype=complex)
         return np.broadcast_to(v, x[a : a + b].shape)
     # one join per level: blocks freed one by one get trimmed and faulted back
-    vals = np.concatenate(list(pmap(block, range(0, len(x), b))))
+    vals = np.concatenate([block(a) for a in range(0, len(x), b)])
     vals = vals.reshape(len(cells), GL_ORDER, GL_ORDER)
     return (hx * hy) * np.einsum("nij,ij->n", vals, _W2)
 
@@ -83,30 +80,22 @@ def _children(cells):
     return np.stack(quads, axis=1).reshape(-1, 4)
 
 
-def integrate_rect(f_xy, rect, tol=1e-6, max_depth=12, threads=1):
+def integrate_rect(f_xy, rect, tol=1e-6, max_depth=12):
     """Integrate f(x, y) dx dy over a rectangle (x0, x1, y0, y1); ``f_xy``
     maps two float arrays of points to one value per point or one scalar."""
-    rect = tuple(float(v) for v in rect)
-    if rect[1] <= rect[0] or rect[3] <= rect[2]:
+    x0, x1, y0, y1 = (float(v) for v in rect)
+    if x1 <= x0 or y1 <= y0:
         return QuadratureResult(0.0, 0.0, 0, True)
-    if threads <= 1:
-        return _refine(f_xy, rect, tol, max_depth, map)
-    with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-        return _refine(f_xy, rect, tol, max_depth, pool.map)
-
-
-def _refine(f_xy, rect, tol, max_depth, pmap):
-    x0, x1, y0, y1 = rect
     total_area = (x1 - x0) * (y1 - y0)
     cells = np.array([[x0, x1, y0, y1]])
-    coarse = _cell_values(f_xy, cells, pmap)
+    coarse = _cell_values(f_xy, cells)
     value = 0j
     est = 0.0
     ncells = 1
     converged = True
     for depth in range(1, max_depth + 1):
         kids = _children(cells)
-        kid_vals = _cell_values(f_xy, kids, pmap)
+        kid_vals = _cell_values(f_xy, kids)
         ncells += len(kids)
         fine = kid_vals.reshape(-1, 4).sum(axis=1)
         err = np.abs(fine - coarse)
@@ -127,10 +116,10 @@ def _refine(f_xy, rect, tol, max_depth, pmap):
     return QuadratureResult(value, est, ncells, converged)
 
 
-def integrate_box(f_z, rect, tol=1e-6, max_depth=12, threads=1):
+def integrate_box(f_z, rect, tol=1e-6, max_depth=12):
     """Same engine with a complex-plane integrand f(z) and measure dx dy."""
 
     def f_xy(x, y):
         return f_z(x + 1j * y)
 
-    return integrate_rect(f_xy, rect, tol, max_depth, threads)
+    return integrate_rect(f_xy, rect, tol, max_depth)

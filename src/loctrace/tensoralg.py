@@ -9,8 +9,9 @@ convolution product of the letters as coefficient.  This module adds
 * canonical lifts of relative invertibles and idempotents, exact inverses
   resp. idempotents modulo words longer than the cap,
 * numeric word containers for evaluated class representatives
-  (``TruncatedSeries``, ``UniversalOneForm``) and the universal differential
-  between them,
+  (``TruncatedSeries`` for plain words, ``UniversalOneForm`` for marked
+  one-form words), which share one base for their linear arithmetic, and the
+  universal differential between them,
 * collapse functionals turning representatives into numbers.
 """
 
@@ -24,7 +25,6 @@ from .algebra import (
     DWord,
     WordCrossedForm,
     mat_add,
-    mat_is_zero,
     word_mu,
 )
 
@@ -241,9 +241,11 @@ def _word_sort(w):
     return (len(w), tuple(l.index for l in w))
 
 
-class TruncatedSeries:
-    """Words of group labels with constant matrix coefficients, truncated by
-    word length.  The unit is the empty word with the identity matrix."""
+class _WordMatrices:
+    """Constant matrices keyed by words, truncated by word length: the
+    arithmetic both numeric word containers share.  Each subclass says how a
+    key is stored and how long it is (``_entry``), how keys sort
+    (``_order``) and how a key is written out (``_layout``)."""
 
     def __init__(self, action, size, cap, terms=None, dropped=0):
         self.action = action
@@ -252,42 +254,76 @@ class TruncatedSeries:
         self.terms = {}
         self.dropped = int(dropped)
         if terms:
-            for w, m in terms.items():
-                if len(w) > self.cap:
+            for key, m in terms.items():
+                key, length = self._entry(key)
+                if length > self.cap:
                     self.dropped += 1
                     continue
                 m = np.asarray(m, dtype=complex)
                 if np.any(m != 0):
-                    self.terms[tuple(w)] = m
+                    self.terms[key] = m
 
-    @staticmethod
-    def unit(action, size, cap):
-        return TruncatedSeries(
-            action, size, cap, {(): np.eye(size, dtype=complex)}
-        )
+    def _like(self, terms, dropped):
+        return type(self)(self.action, self.size, self.cap, terms, dropped)
 
     def add(self, other):
         out = dict(self.terms)
-        for w, m in other.terms.items():
-            out[w] = out[w] + m if w in out else m
-        return TruncatedSeries(
-            self.action, self.size, self.cap, out, self.dropped + other.dropped
-        )
+        for k, m in other.terms.items():
+            out[k] = out[k] + m if k in out else m
+        return self._like(out, self.dropped + other.dropped)
 
     def scale(self, s):
-        return TruncatedSeries(
-            self.action,
-            self.size,
-            self.cap,
-            {w: m * s for w, m in self.terms.items()},
-            self.dropped,
-        )
+        return self._like({k: m * s for k, m in self.terms.items()}, self.dropped)
 
     def neg(self):
         return self.scale(-1.0)
 
     def sub(self, other):
         return self.add(other.neg())
+
+    def sorted_keys(self):
+        return sorted(self.terms.keys(), key=self._order)
+
+    def to_jsonable(self):
+        out = []
+        for k in self.sorted_keys():
+            m = self.terms[k]
+            out.append(
+                dict(
+                    self._layout(k),
+                    matrix=[[[v.real, v.imag] for v in row] for row in m],
+                )
+            )
+        return out
+
+    def __repr__(self):
+        return (
+            f"{type(self).__name__}(size={self.size}, cap={self.cap}, "
+            f"words={len(self.terms)})"
+        )
+
+
+class TruncatedSeries(_WordMatrices):
+    """Words of group labels with constant matrix coefficients, truncated by
+    word length.  The unit is the empty word with the identity matrix."""
+
+    @staticmethod
+    def _entry(w):
+        return tuple(w), len(w)
+
+    @staticmethod
+    def _order(w):
+        return _word_sort(w)
+
+    @staticmethod
+    def _layout(w):
+        return {"word": [l.name for l in w]}
+
+    @staticmethod
+    def unit(action, size, cap):
+        return TruncatedSeries(
+            action, size, cap, {(): np.eye(size, dtype=complex)}
+        )
 
     def mul(self, other):
         terms = {}
@@ -302,27 +338,6 @@ class TruncatedSeries:
                 terms[w] = terms[w] + m if w in terms else m
         return TruncatedSeries(self.action, self.size, self.cap, terms, dropped)
 
-    def sorted_keys(self):
-        return sorted(self.terms.keys(), key=_word_sort)
-
-    def to_jsonable(self):
-        out = []
-        for w in self.sorted_keys():
-            m = self.terms[w]
-            out.append(
-                {
-                    "word": [l.name for l in w],
-                    "matrix": [[[v.real, v.imag] for v in row] for row in m],
-                }
-            )
-        return out
-
-    def __repr__(self):
-        return (
-            f"TruncatedSeries(size={self.size}, cap={self.cap}, "
-            f"words={len(self.terms)})"
-        )
-
 
 def nat_key(dkey):
     """Rotate a marked word to its stored quotient representative: the right
@@ -330,73 +345,25 @@ def nat_key(dkey):
     return (dkey.post + dkey.pre, dkey.mid)
 
 
-class UniversalOneForm:
+class UniversalOneForm(_WordMatrices):
     """One-form words (left word, marked label) with constant matrices.
 
     Keys are quotient representatives: the marked letter is always last, so
     cyclic words are compared by rotating right factors to the front."""
 
-    def __init__(self, action, size, cap, terms=None, dropped=0):
-        self.action = action
-        self.size = int(size)
-        self.cap = int(cap)
-        self.terms = {}
-        self.dropped = int(dropped)
-        if terms:
-            for (w, b), m in terms.items():
-                if len(w) + 1 > self.cap:
-                    self.dropped += 1
-                    continue
-                m = np.asarray(m, dtype=complex)
-                if np.any(m != 0):
-                    self.terms[(tuple(w), b)] = m
+    @staticmethod
+    def _entry(key):
+        w, b = key
+        return (tuple(w), b), len(w) + 1
 
-    def add(self, other):
-        out = dict(self.terms)
-        for k, m in other.terms.items():
-            out[k] = out[k] + m if k in out else m
-        return UniversalOneForm(
-            self.action, self.size, self.cap, out, self.dropped + other.dropped
-        )
+    @staticmethod
+    def _order(key):
+        return (_word_sort(key[0]), key[1].index)
 
-    def scale(self, s):
-        return UniversalOneForm(
-            self.action,
-            self.size,
-            self.cap,
-            {k: m * s for k, m in self.terms.items()},
-            self.dropped,
-        )
-
-    def neg(self):
-        return self.scale(-1.0)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def sorted_keys(self):
-        return sorted(
-            self.terms.keys(), key=lambda k: (_word_sort(k[0]), k[1].index)
-        )
-
-    def to_jsonable(self):
-        out = []
-        for w, b in self.sorted_keys():
-            m = self.terms[(w, b)]
-            out.append(
-                {
-                    "word": [l.name for l in w],
-                    "dletter": b.name,
-                    "matrix": [[[v.real, v.imag] for v in row] for row in m],
-                }
-            )
-        return out
-
-    def __repr__(self):
-        return (
-            f"UniversalOneForm(size={self.size}, cap={self.cap}, "
-            f"words={len(self.terms)})"
-        )
+    @staticmethod
+    def _layout(key):
+        w, b = key
+        return {"word": [l.name for l in w], "dletter": b.name}
 
 
 def universal_d(x):

@@ -8,7 +8,8 @@ import numpy as np
 
 from loctrace import fields as F
 from loctrace import groupoid as G
-from loctrace.algebra import CrossedForm, FormCoefficient, fc_field
+from loctrace.algebra import CrossedForm, FormCoefficient
+from loctrace.pairing import bott_projector  # noqa: F401  (shared with the CLI)
 
 
 def rand_poly(rng, scale=1.0):
@@ -66,22 +67,6 @@ def rand_crossed(rng, action, names, size=1, degrees=((0, 0),)):
         ]
         x = x.add(CrossedForm.single(action, lab, mat, size=size))
     return x
-
-
-def bott_projector():
-    """Rank-one projector built from a radial window; exactly idempotent."""
-    act = G.trivial_action(F.Disk(0.0, 2.5))
-    B = F.bump_field(0.0, 1.0, 2.0)
-    R = F.frecip(F.fadd(F.fmul(B, B), F.fmul(F.fz(), F.fzbar())))
-    e11 = F.fmul(R, F.fmul(B, B))
-    e12 = F.fmul(R, F.fmul(B, F.fzbar()))
-    e21 = F.fmul(R, F.fmul(B, F.fz()))
-    e22 = F.fneg(F.fmul(R, F.fmul(B, B)))
-    for f in (e11, e12, e21, e22):
-        f.support = F.Disk(0.0, 2.0)
-    mat = [[fc_field(e11), fc_field(e12)], [fc_field(e21), fc_field(e22)]]
-    e = CrossedForm(act, 2, {act.unit: mat}, [[0.0, 0.0], [0.0, 1.0]])
-    return act, e
 
 
 def eval_at(f, z):

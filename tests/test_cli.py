@@ -2,8 +2,8 @@
 
 Float reproducibility policy:
 
-- on one machine, reports are bit for bit equal at any ``--threads`` and
-  across repeated runs (``timings`` aside);
+- on one machine, reports are bit for bit equal across repeated runs
+  (``timings`` aside);
 - across machines, floats agree within ``math.isclose(got, want,
   rel_tol=1e-12, abs_tol=1e-14)`` and everything else (keys, list lengths,
   strings, word lists, ints, ``pass`` flags, ``digest``) is exact.
@@ -142,16 +142,6 @@ def test_golden_comparator_rejects(golden, mutate):
     assert list(report_mismatches(strip_timings(got), strip_timings(want)))
 
 
-def test_threads_do_not_change_the_report(tmp_path):
-    one = tmp_path / "t1.json"
-    two = tmp_path / "t2.json"
-    run_cli(["todd", str(FIXTURES / "todd.json"), "--threads", "1"], one)
-    run_cli(["todd", str(FIXTURES / "todd.json"), "--threads", "2"], two)
-    ra = strip_timings(json.loads(one.read_text()))
-    rb = strip_timings(json.loads(two.read_text()))
-    assert ra == rb
-
-
 def test_report_envelope(tmp_path):
     out = tmp_path / "report.json"
     code, report = run_cli(["trace", str(FIXTURES / "dilation2.json")], out)
@@ -217,6 +207,19 @@ def test_malformed_scenario_exits_two(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"group": {"kind": "gauge"}}')
     assert main(["trace", str(p)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,fixture", [("todd", "todd.json"), ("dist-check", "dist.json")]
+)
+def test_numerical_failure_exits_two(command, fixture, tmp_path, capsys):
+    # one depth level cannot meet the tolerance: an error line, no report
+    out = tmp_path / "report.json"
+    code = main([command, str(FIXTURES / fixture), "--depth", "1", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 def test_flag_overrides_apply(tmp_path):

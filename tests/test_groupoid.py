@@ -280,10 +280,3 @@ class TestActions:
         assert act.compose(r2, r1) == act.unit
         assert act.inverse(r1) == r2
         assert len(act.labels()) == 3
-
-    def test_enumerate_automorphisms(self):
-        act = std_mobius_action()
-        auts, skipped = G.enumerate_automorphisms(act, labels=[act.by_name("a")])
-        assert len(auts) == 1
-        assert auts[0].order == 1
-        assert skipped == []

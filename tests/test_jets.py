@@ -8,16 +8,11 @@ from loctrace.jets import (
     Jet1,
     Jet2,
     identity_jet,
-    j_add,
     j_compose,
     j_div_valuation,
     j_mul,
     j_recip,
-    j_scale,
-    jet2_mul,
-    map_jet,
     monomial_jet,
-    perm,
     valuation,
 )
 
@@ -56,26 +51,6 @@ def test_identity_and_monomial():
     assert m.coeff(2) == 0.0
     # callable form evaluates the polynomial
     assert abs(m(0.5) - 0.125) < 1e-15
-
-
-def test_perm_falling_factorial():
-    assert perm(5, 2) == 20
-    assert perm(5, 0) == 1
-    assert perm(3, 3) == 6
-    assert perm(2, 3) == 0
-
-
-def test_add_scale():
-    a = Jet1(0.0, [1.0, 2.0, 3.0])
-    b = Jet1(0.0, [0.5, -1.0, 0.25, 9.0])
-    s = j_add(a, b)
-    assert s.coeff(0) == 1.5
-    assert s.coeff(1) == 1.0
-    assert s.coeff(2) == 3.25
-    # truncation to the shorter factor
-    assert s.order == 2
-    t = j_scale(a, 2j)
-    assert t.coeff(1) == 4j
 
 
 @pytest.mark.parametrize("base", [0.0, 0.2 - 0.1j])
@@ -163,7 +138,7 @@ def test_map_jet_matches_direct_series():
 
     g = MobiusMap([[1.0, 0.2], [0.5, 1.0]])
     z0 = 0.1 - 0.05j
-    j = map_jet(g, z0, 6)
+    j = g.jet_at(z0, 6)
     a, b, c, d = 1.0, 0.2, 0.5, 1.0
     expr = (a * Z + b) / (c * Z + d)
     want = jet_from_sym(expr, z0, 6)
@@ -189,30 +164,6 @@ class TestJet2:
         assert j.coeff(1, 1) == 4.0
         assert j.coeff(2, 0) == 0.0
         assert j.value() == 1.0
-
-    def test_mul_matches_bivariate_product(self):
-        zb = sp.symbols("w")  # stand-in for the conjugate variable
-        rng = np.random.default_rng(5)
-        order = 3
-
-        def rand_poly2():
-            coef = {}
-            for p in range(order + 1):
-                for q in range(order + 1 - p):
-                    coef[(p, q)] = complex(rng.normal() + 1j * rng.normal())
-            return coef
-
-        ca, cb = rand_poly2(), rand_poly2()
-        A = Jet2(0.0, order, dict(ca))
-        B = Jet2(0.0, order, dict(cb))
-        got = jet2_mul(A, B)
-        fa = sum(c * Z ** p * zb ** q for (p, q), c in ca.items())
-        fb = sum(c * Z ** p * zb ** q for (p, q), c in cb.items())
-        prod = sp.expand(fa * fb)
-        for p in range(order + 1):
-            for q in range(order + 1 - p):
-                want = complex(prod.coeff(Z, p).coeff(zb, q))
-                assert abs(got.coeff(p, q) - want) < 1e-11, (p, q)
 
     def test_restrict_z(self):
         j = Jet2(0.1, 2, {(0, 0): 1.0, (1, 0): 2.0, (0, 1): 7.0, (2, 0): 5.0})

@@ -1,9 +1,6 @@
 """Adaptive panel integration against closed forms and scipy."""
 
-import collections
-
 import numpy as np
-import pytest
 from scipy import integrate as si
 
 from loctrace.quadrature import integrate_box, integrate_rect
@@ -68,56 +65,24 @@ def test_determinism():
     assert a.cells == b.cells
 
 
-def test_threads_do_not_change_the_answer():
-    # threads map the same 64-cell blocks the serial loop evaluates, so the
-    # whole result is bit for bit the serial one
-    level_points = collections.Counter()
+def test_evaluation_calls_stay_within_one_block():
+    # levels wider than one block are evaluated one block per call
+    sizes = []
 
-    def recorded(x, y):
-        # within a block all cells have one width, which names the level
-        level_points[round(x[8] - x[0], 12)] += len(x)
+    def f(x, y):
+        sizes.append(len(x))
         return ring(x, y)
 
-    a = integrate_rect(recorded, (-2, 2, -2, 2), tol=1e-10, threads=1)
-    assert max(level_points.values()) > 2 * BLOCK_POINTS  # threads split a level
-    for k in (2, 3, 4):
-        b = integrate_rect(ring, (-2, 2, -2, 2), tol=1e-10, threads=k)
-        got = (b.value, b.est_error, b.cells, b.converged)
-        assert got == (a.value, a.est_error, a.cells, a.converged), k
-
-
-def test_evaluation_calls_stay_within_one_block():
-    # levels wider than one block are evaluated one block per call, at any
-    # thread count
-    for k in (1, 2):
-        sizes = []
-
-        def f(x, y):
-            sizes.append(len(x))
-            return ring(x, y)
-
-        res = integrate_rect(f, (-2, 2, -2, 2), tol=1e-10, threads=k)
-        assert sum(sizes) == 64 * res.cells > 8 * BLOCK_POINTS
-        assert max(sizes) <= BLOCK_POINTS, k
+    res = integrate_rect(f, (-2, 2, -2, 2), tol=1e-10)
+    assert sum(sizes) == 64 * res.cells > 8 * BLOCK_POINTS
+    assert max(sizes) <= BLOCK_POINTS
 
 
 def test_scalar_integrand_broadcasts():
     # an integrand may return one scalar for all points of a call
-    for k in (1, 2):
-        res = integrate_rect(lambda x, y: 1.0, (0, 1, 0, 1), threads=k)
-        assert res.converged
-        assert abs(res.value - 1.0) < 1e-14, k
-
-
-def test_threaded_evaluation_error_propagates():
-    # an error raised while evaluating a block reaches the caller
-    def f(x, y):
-        if np.any(x > 0.5):
-            raise ValueError("outside the domain")
-        return x
-
-    with pytest.raises(ValueError, match="outside the domain"):
-        integrate_rect(f, (-1, 1, -1, 1), tol=1e-10, threads=3)
+    res = integrate_rect(lambda x, y: 1.0, (0, 1, 0, 1))
+    assert res.converged
+    assert abs(res.value - 1.0) < 1e-14
 
 
 def test_nonconvergence_reported():
