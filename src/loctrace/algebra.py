@@ -181,10 +181,6 @@ def mat_scale(a, s):
     return [[a[i][j].scale(s) for j in range(len(a))] for i in range(len(a))]
 
 
-def mat_neg(a):
-    return [[a[i][j].neg() for j in range(len(a))] for i in range(len(a))]
-
-
 def mat_map(a, fn):
     return [[fn(a[i][j]) for j in range(len(a))] for i in range(len(a))]
 
@@ -408,32 +404,24 @@ def diff_d(x):
 
 def diff_D(x):
     """Derivation multiplying the coefficient at label g by log|g'|^2."""
-    cache = {}
 
     def fn(lab, c):
         g = x.label_of(lab).cmap
         if g.is_identity_germ():
             return FormCoefficient.zero()
-        key = id(g)
-        if key not in cache:
-            cache[key] = ScalarField(g.log_abs_deriv_sq_tree(), None)
-        return c.mul_field(cache[key])
+        return c.mul_field(ScalarField(g.log_abs_deriv_sq_tree(), None))
 
     return _apply_slotmap(x, fn)
 
 
 def diff_delta(x):
     """Wedge (g''/g') dz into the coefficient at label g from the left."""
-    cache = {}
 
     def fn(lab, c):
         g = x.label_of(lab).cmap
         if g.is_identity_germ():
             return FormCoefficient.zero()
-        key = id(g)
-        if key not in cache:
-            cache[key] = ScalarField(g.log_deriv_tree(), None)
-        w = cache[key]
+        w = ScalarField(g.log_deriv_tree(), None)
         out = {}
         for (p, q), f in c.comps.items():
             if p == 0:

@@ -244,12 +244,23 @@ def _cmd_pair_odd(scn, args):
     return payload, checks
 
 
-def _delta0_reference(om, region, jet_order):
+def _delta0_cross_path(om, region, jet_order):
+    """delta0 of the anomaly per natural key, and its largest gap to the
+    wordwise fixed-point trace summed per natural key."""
+    d0 = P.anomaly_delta0(om, region=region, jet_order=jet_order)
     ref = {}
     for key, v in C.phi_trace_words(om, region, jet_order).items():
         nk = T.nat_key(key)
         ref[nk] = ref.get(nk, 0j) + v
-    return ref
+    got, cross = {}, 0.0
+    for nk in set(d0.terms) | set(ref):
+        got[nk] = complex(d0.terms[nk][0][0]) if nk in d0.terms else 0j
+        cross = max(cross, abs(got[nk] - ref.get(nk, 0j)))
+    return got, cross
+
+
+def _nat_order(nk):
+    return (len(nk[0]), _word_names(nk[0]), nk[1].name)
 
 
 def _cmd_anomaly(scn, args):
@@ -262,16 +273,11 @@ def _cmd_anomaly(scn, args):
     A = WordCrossedForm.from_crossed(a_el, cap)
     om = T.universal_d(WordCrossedForm.from_crossed(om_el, cap))
 
-    d0 = P.anomaly_delta0(om, region=scn.action.domain, jet_order=scn.jet_order)
-    ref = _delta0_reference(om, scn.action.domain, scn.jet_order)
-    cross = 0.0
-    d0_words = []
-    for nk in sorted(set(d0.terms) | set(ref), key=lambda k: (len(k[0]), _word_names(k[0]), k[1].name)):
-        got = complex(d0.terms[nk][0][0]) if nk in d0.terms else 0j
-        cross = max(cross, abs(got - ref.get(nk, 0j)))
-        d0_words.append(
-            {"word": _word_names(nk[0]), "dletter": nk[1].name, "value": _cj(got)}
-        )
+    d0, cross = _delta0_cross_path(om, scn.action.domain, scn.jet_order)
+    d0_words = [
+        {"word": _word_names(nk[0]), "dletter": nk[1].name, "value": _cj(d0[nk])}
+        for nk in sorted(d0, key=_nat_order)
+    ]
 
     r1 = P.anomaly_delta1(A, om, tol=scn.tol, max_depth=scn.depth)
     d1_words = [
@@ -282,8 +288,7 @@ def _cmd_anomaly(scn, args):
             "intrinsic": _cj(complex(r1.intrinsic.terms.get(nk, np.zeros((1, 1)))[0][0])),
         }
         for nk in sorted(
-            set(r1.explicit.terms) | set(r1.intrinsic.terms),
-            key=lambda k: (len(k[0]), _word_names(k[0]), k[1].name),
+            set(r1.explicit.terms) | set(r1.intrinsic.terms), key=_nat_order
         )
     ]
     payload = {"delta0": d0_words, "delta1": d1_words}
@@ -531,12 +536,7 @@ def _verify_checks(rng, tol, depth, cap):
         act, 1, {act.by_name("a"): [[_rand_coeff(rngc, ((0, 1),))]]}
     )
     om = T.universal_d(WordCrossedForm.from_crossed(omega_el, 2))
-    d0 = P.anomaly_delta0(om, region=act.domain)
-    ref = _delta0_reference(om, act.domain, 16)
-    cross = 0.0
-    for nk in set(d0.terms) | set(ref):
-        gotv = complex(d0.terms[nk][0][0]) if nk in d0.terms else 0j
-        cross = max(cross, abs(gotv - ref.get(nk, 0j)))
+    _, cross = _delta0_cross_path(om, act.domain, 16)
     checks.append(_check("delta0-cross-path", cross, 0.0))
     r1 = P.anomaly_delta1(
         WordCrossedForm.from_crossed(a_el, 2), om, tol=tol, max_depth=depth

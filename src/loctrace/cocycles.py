@@ -216,14 +216,14 @@ def todd_dual_defect(a0, a1, a2, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     return abs(direct.value - other), direct, fc, c1
 
 
+def _cochain_value(phi, xs):
+    got = phi(*xs)
+    return got.value if isinstance(got, CocycleValue) else complex(got)
+
+
 def hochschild_b(phi, args):
     """Hochschild coboundary of a k-cochain evaluated on k+2 elements; phi is
     any callable returning a CocycleValue or a complex number."""
-
-    def val(*xs):
-        got = phi(*xs)
-        return got.value if isinstance(got, CocycleValue) else complex(got)
-
     args = list(args)
     k = len(args) - 2
     if k < 0:
@@ -231,23 +231,18 @@ def hochschild_b(phi, args):
     total = 0j
     for i in range(k + 1):
         merged = args[:i] + [args[i].mul(args[i + 1])] + args[i + 2 :]
-        total += ((-1.0) ** i) * val(*merged)
+        total += ((-1.0) ** i) * _cochain_value(phi, merged)
     wrap = [args[-1].mul(args[0])] + args[1:-1]
-    total += ((-1.0) ** (k + 1)) * val(*wrap)
+    total += ((-1.0) ** (k + 1)) * _cochain_value(phi, wrap)
     return total
 
 
 def cyclic_defect(phi, args):
     """phi(a0, ..., ak) minus its cyclic rotation with the sign (-1)^k."""
-
-    def val(*xs):
-        got = phi(*xs)
-        return got.value if isinstance(got, CocycleValue) else complex(got)
-
     args = list(args)
     k = len(args) - 1
     rotated = [args[-1]] + args[:-1]
-    return val(*args) - ((-1.0) ** k) * val(*rotated)
+    return _cochain_value(phi, args) - ((-1.0) ** k) * _cochain_value(phi, rotated)
 
 
 # ---------------------------------------------------------------------------

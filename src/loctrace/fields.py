@@ -628,11 +628,7 @@ class Bump(Node):
             for key, v in acc.items():
                 if key not in out:
                     out[key] = np.zeros(ctx.npts, dtype=complex)
-                tgt = out[key]
-                if np.isscalar(v) or np.shape(v) == ():
-                    tgt[annulus] += v
-                else:
-                    tgt[annulus] += v
+                out[key][annulus] += v
         return out
 
     def _subst(self, zr, zbr, memo):
@@ -640,21 +636,6 @@ class Bump(Node):
 
     def children(self):
         return (self.inner,)
-
-
-def _walk(node, seen, out):
-    if id(node) in seen:
-        return
-    seen.add(id(node))
-    out.append(node)
-    for c in node.children():
-        _walk(c, seen, out)
-
-
-def all_nodes(node):
-    seen, out = set(), []
-    _walk(node, seen, out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,21 @@ kept as a determinant-1 matrix with a fixed sign convention, a polynomial, or
 a composition chain.  Every map knows how to evaluate itself on point batches,
 produce exact univariate jets at a base point, expose itself as an expression
 tree (so fields can be pulled back through it), and report closed forms for
-g', g''/g' and log|g'|^2 as trees.
+g', g''/g' and log|g'|^2 as trees.  Each map builds its trees once, on first
+use, with common subtrees shared between them; every pullback through the map
+reuses those nodes, so field evaluation, which memoizes on node identity,
+computes them once per batch.
 
 Fixed points of a map inside a search region are isolated zeros of g(z) - z;
-at each one the local order n is the valuation of the jet of g(z) - z.  The
-identity germ is order infinity and is kept separate from the isolated case.
+at each one the local order n is the valuation of the jet of g(z) - z.  A root
+finder splits a zero of order n >= 2 into a cluster of nearby candidates; such
+a cluster comes back as one point, polished to full accuracy.  The identity
+germ is order infinity and is kept separate from the isolated case.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -51,6 +57,8 @@ __all__ = [
 
 PSL2_ATOL = 1e-10
 FIXPOINT_DEDUPE = 1e-9
+# candidates closer than this may be one multiple fixed point split by rounding
+FIXPOINT_CLUSTER = 1e-3
 NEWTON_GRID = 32
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 60
@@ -97,31 +105,39 @@ class ConformalMap:
     def jet_at(self, z0, order):
         raise NotImplementedError
 
-    def expr_tree(self):
+    def _build_trees(self):
+        """The trees of g, g' and g''/g', built together to share subtrees."""
         raise NotImplementedError
 
+    @functools.cached_property
+    def _trees(self):
+        return self._build_trees()
+
+    @functools.cached_property
+    def _log_abs_deriv_sq(self):
+        gp = self.g_prime_tree()
+        return F.Log(F.Mul(gp, F.Conj(gp)))
+
+    def expr_tree(self):
+        return self._trees[0]
+
     def g_prime_tree(self):
-        raise NotImplementedError
+        return self._trees[1]
 
     def log_deriv_tree(self):
         """Tree of g''/g', i.e. the z-derivative of log g'."""
-        raise NotImplementedError
+        return self._trees[2]
 
     def log_abs_deriv_sq_tree(self):
         """Tree of log(g' * conj(g')) = log|g'|^2, principal branch; the
         argument is real and positive so the branch is unambiguous."""
-        gp = self.g_prime_tree()
-        return F.Log(F.Mul(gp, F.Conj(gp)))
+        return self._log_abs_deriv_sq
 
     def inverse(self):
         raise NotImplementedError(f"{type(self).__name__} has no closed-form inverse")
 
     def is_identity_germ(self):
         return False
-
-    def deriv_apply(self, z):
-        gp = F.ScalarField(self.g_prime_tree(), None)
-        return F.eval_field(gp, z)
 
     def preimage_region(self, region):
         """Conservative outer bound for the preimage of a support region;
@@ -141,14 +157,8 @@ class IdentityMap(ConformalMap):
     def jet_at(self, z0, order):
         return identity_jet(z0, order)
 
-    def expr_tree(self):
-        return F.VarZ()
-
-    def g_prime_tree(self):
-        return F.Const(1.0)
-
-    def log_deriv_tree(self):
-        return F.Const(0.0)
+    def _build_trees(self):
+        return F.VarZ(), F.Const(1.0), F.Const(0.0)
 
     def inverse(self):
         return self
@@ -177,17 +187,11 @@ class AffineMap(ConformalMap):
     def jet_at(self, z0, order):
         return _lin_jet(self.a, self.b, z0, order)
 
-    def expr_tree(self):
+    def _build_trees(self):
         t = F.Mul(F.Const(self.a), F.VarZ()) if self.a != 1 else F.VarZ()
         if self.b != 0:
             t = F.Add([t, F.Const(self.b)])
-        return t
-
-    def g_prime_tree(self):
-        return F.Const(self.a)
-
-    def log_deriv_tree(self):
-        return F.Const(0.0)
+        return t, F.Const(self.a), F.Const(0.0)
 
     def inverse(self):
         return AffineMap(1.0 / self.a, -self.b / self.a, self.domain)
@@ -218,23 +222,8 @@ class AffineMap(ConformalMap):
 class MobiusMap(ConformalMap):
     def __init__(self, mat, domain=None):
         self.mat = canonical_psl2(mat)
+        self.a, self.b, self.c, self.d = (complex(e) for e in self.mat.ravel())
         self.domain = domain or F.WholePlane()
-
-    @property
-    def a(self):
-        return complex(self.mat[0, 0])
-
-    @property
-    def b(self):
-        return complex(self.mat[0, 1])
-
-    @property
-    def c(self):
-        return complex(self.mat[1, 0])
-
-    @property
-    def d(self):
-        return complex(self.mat[1, 1])
 
     def pole(self):
         if abs(self.c) <= 1e-14:
@@ -255,21 +244,15 @@ class MobiusMap(ConformalMap):
             raise F.FieldDomainError("jet of a fractional linear map at its pole")
         return j_mul(num, j_recip(den))
 
-    def expr_tree(self):
-        num = F.Add([F.Mul(F.Const(self.a), F.VarZ()), F.Const(self.b)])
-        den = F.Add([F.Mul(F.Const(self.c), F.VarZ()), F.Const(self.d)])
-        return F.Mul(num, F.Recip(den))
-
-    def g_prime_tree(self):
-        # determinant is 1 after canonicalization
-        den = F.Add([F.Mul(F.Const(self.c), F.VarZ()), F.Const(self.d)])
-        return F.IntPow(F.Recip(den), 2)
-
-    def log_deriv_tree(self):
-        if abs(self.c) <= 1e-14:
-            return F.Const(0.0)
-        den = F.Add([F.Mul(F.Const(self.c), F.VarZ()), F.Const(self.d)])
-        return F.Mul(F.Const(-2.0 * self.c), F.Recip(den))
+    def _build_trees(self):
+        z = F.VarZ()
+        num = F.Add([F.Mul(F.Const(self.a), z), F.Const(self.b)])
+        rden = F.Recip(F.Add([F.Mul(F.Const(self.c), z), F.Const(self.d)]))
+        kappa = (
+            F.Const(0.0) if abs(self.c) <= 1e-14 else F.Mul(F.Const(-2.0 * self.c), rden)
+        )
+        # g' = 1/(cz + d)^2: the determinant is 1 after canonicalization
+        return F.Mul(num, rden), F.IntPow(rden, 2), kappa
 
     def inverse(self):
         return MobiusMap(np.array([[self.d, -self.b], [-self.c, self.a]]), self.domain)
@@ -339,36 +322,21 @@ class PolyMap(ConformalMap):
             acc.coeffs[0] += c
         return acc
 
-    def expr_tree(self):
-        acc = F.Const(self.coeffs[-1])
-        for c in self.coeffs[-2::-1]:
-            acc = F.Add([F.Mul(acc, F.VarZ()), F.Const(c)])
-        return acc
+    def _build_trees(self):
+        z = F.VarZ()
 
-    def _dcoeffs(self, k=1):
-        c = self.coeffs
-        for _ in range(k):
-            c = c[1:] * np.arange(1, len(c))
-        return c
+        def horner(coeffs):
+            acc = F.Const(coeffs[-1])
+            for c in coeffs[-2::-1]:
+                acc = F.Add([F.Mul(acc, z), F.Const(c)])
+            return acc
 
-    def g_prime_tree(self):
-        return PolyMap._tree_from_coeffs(self._dcoeffs(1))
-
-    @staticmethod
-    def _tree_from_coeffs(coeffs):
-        acc = F.Const(coeffs[-1])
-        for c in coeffs[-2::-1]:
-            acc = F.Add([F.Mul(acc, F.VarZ()), F.Const(c)])
-        return acc
-
-    def log_deriv_tree(self):
-        d1 = self._dcoeffs(1)
+        d1 = self.coeffs[1:] * np.arange(1, len(self.coeffs))
+        gp = horner(d1)
         if len(d1) == 1:
-            return F.Const(0.0)
-        d2 = self._dcoeffs(2)
-        return F.Mul(
-            PolyMap._tree_from_coeffs(d2), F.Recip(PolyMap._tree_from_coeffs(d1))
-        )
+            return horner(self.coeffs), gp, F.Const(0.0)
+        d2 = d1[1:] * np.arange(1, len(d1))
+        return horner(self.coeffs), gp, F.Mul(horner(d2), F.Recip(gp))
 
     def is_identity_germ(self):
         c = self.coeffs
@@ -410,39 +378,18 @@ class ChainMap(ConformalMap):
             acc = j_compose(outer, acc)
         return acc
 
-    def expr_tree(self):
-        tree = F.VarZ()
+    def _build_trees(self):
+        # innermost part first: g' multiplies the parts' derivatives, and g''/g'
+        # sums each part's g''/g' times the derivative of everything inside it
+        inner, gp, terms = F.VarZ(), None, []
         for p in self.parts[::-1]:
-            outer = p.expr_tree()
-            tree = outer.subst(tree, F.Conj(tree), {})
-        return tree
-
-    def g_prime_tree(self):
-        # (g1 o g2 o ... )' by the chain rule, innermost first
-        inner_tree = F.VarZ()
-        factors = []
-        for p in self.parts[::-1]:
-            gp = p.g_prime_tree().subst(inner_tree, F.Conj(inner_tree), {})
-            factors.append(gp)
-            inner_tree = p.expr_tree().subst(inner_tree, F.Conj(inner_tree), {})
-        out = factors[0]
-        for f in factors[1:]:
-            out = F.Mul(out, f)
-        return out
-
-    def log_deriv_tree(self):
-        inner_tree = F.VarZ()
-        terms = []
-        dprod = None
-        for p in self.parts[::-1]:
-            ld = p.log_deriv_tree().subst(inner_tree, F.Conj(inner_tree), {})
-            if dprod is not None:
-                ld = F.Mul(ld, dprod)
-            terms.append(ld)
-            gp = p.g_prime_tree().subst(inner_tree, F.Conj(inner_tree), {})
-            dprod = gp if dprod is None else F.Mul(dprod, gp)
-            inner_tree = p.expr_tree().subst(inner_tree, F.Conj(inner_tree), {})
-        return F.Add(terms)
+            memo = {}
+            conj = F.Conj(inner)
+            p_expr, p_gp, p_kappa = (t.subst(inner, conj, memo) for t in p._trees)
+            terms.append(p_kappa if gp is None else F.Mul(p_kappa, gp))
+            gp = p_gp if gp is None else F.Mul(gp, p_gp)
+            inner = p_expr
+        return inner, gp, F.Add(terms)
 
     def inverse(self):
         return ChainMap([p.inverse() for p in self.parts[::-1]], None)
@@ -454,11 +401,10 @@ class ChainMap(ConformalMap):
         if bb is not None:
             z0 = complex(0.5 * (bb[0] + bb[1]), 0.5 * (bb[2] + bb[3]))
         try:
-            j = self.jet_at(z0, 8)
+            d = _fix_jet(self, z0, 8)
         except F.FieldDomainError:
             return False
-        idj = identity_jet(z0, 8)
-        if np.max(np.abs(j.coeffs - idj.coeffs)) > 1e-10:
+        if np.max(np.abs(d.coeffs)) > 1e-10:
             return False
         probes = z0 + np.array([0.11 + 0.07j, -0.13 + 0.02j, 0.05 - 0.12j])
         return bool(np.max(np.abs(self.apply(probes) - probes)) <= 1e-10)
@@ -543,7 +489,40 @@ def fixed_points(g, region=None, grid=NEWTON_GRID):
     else:
         cands = _newton_fixed_points(g, region, grid)
     inside = [complex(p) for p in cands if bool(np.all(region.contains(p)))]
-    return _dedupe(inside)
+    pts, out, tried = _dedupe(inside), [], set()
+    while pts:
+        near = [p for p in pts if abs(p - pts[0]) <= FIXPOINT_CLUSTER]
+        hit = None if len(near) < 2 or pts[0] in tried else _merge_multiple(g, near)
+        if hit is None or not bool(np.all(region.contains(hit[0]))):
+            tried.update(near)
+            out.append(pts.pop(0))
+        else:
+            out.append(hit[0])
+            pts = [p for p in pts if abs(p - hit[0]) > hit[1]]
+    return out
+
+
+def _merge_multiple(g, cluster):
+    """The multiple fixed point that rounding split into the cluster, and the
+    radius within which candidates are that point; or None.  On a disk 100
+    times wider than the cluster, the dominant term of the jet of g(z) - z at
+    the centroid counts its zeros, n; the point is the simple zero of the
+    (n-1)-th derivative, by Newton's method, if g(z) - z has valuation n there."""
+    z0 = complex(np.mean(cluster))
+    spread = max(abs(p - z0) for p in cluster)
+    d = _fix_jet(g, z0, DEFAULT_JET_ORDER).coeffs
+    n = int(np.argmax(np.abs(d) * (100.0 * spread) ** np.arange(len(d))))
+    if n < 2:
+        return None
+    for _ in range(NEWTON_MAXIT):
+        d = _fix_jet(g, z0, n).coeffs
+        step = d[n - 1] / (n * d[n])
+        z0 -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(z0)):
+            break
+    if valuation(_fix_jet(g, z0, DEFAULT_JET_ORDER)) != n:
+        return None
+    return complex(z0), 10.0 * spread
 
 
 def _newton_fixed_points(g, region, grid):
@@ -557,7 +536,7 @@ def _newton_fixed_points(g, region, grid):
     for _ in range(NEWTON_MAXIT):
         try:
             fz = g.apply(Z[alive]) - Z[alive]
-            dfz = g.deriv_apply(Z[alive]) - 1.0
+            dfz = F.eval_field(F.ScalarField(g.g_prime_tree(), None), Z[alive]) - 1.0
         except F.FieldDomainError:
             break
         step = np.where(np.abs(dfz) > 1e-300, fz / dfz, 0.0)
@@ -573,6 +552,11 @@ def _newton_fixed_points(g, region, grid):
         return []
     good = Z[resid <= 10 * NEWTON_TOL]
     return list(good)
+
+
+def _fix_jet(g, z0, order):
+    """Jet of g(z) - z at z0."""
+    return Jet1(z0, g.jet_at(z0, order).coeffs - identity_jet(z0, order).coeffs)
 
 
 class Automorphism:
@@ -619,9 +603,7 @@ class Automorphism:
 
 def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, n_max=DEFAULT_N_MAX, label=None):
     """Local order data of g at a fixed point z0."""
-    gj = g.jet_at(z0, jet_order)
-    idj = identity_jet(z0, jet_order)
-    d = Jet1(z0, gj.coeffs - idj.coeffs)
+    d = _fix_jet(g, z0, jet_order)
     v = valuation(d)
     if v is None:
         return Automorphism(label, g, z0, math.inf, d, jet_order)
@@ -747,9 +729,6 @@ class FiniteCyclicAction(GroupAction):
     @property
     def unit(self):
         return self._by_key[0]
-
-    def label(self, k):
-        return self._by_key[k % self.modulus]
 
     def compose(self, l1, l2):
         return self._by_key[(l1.key + l2.key) % self.modulus]

@@ -163,6 +163,63 @@ class TestHigherOrder:
             phi_trace(single0(act, g, bad))
 
 
+def _quadratic_window(cs):
+    """bump(0, 0.3, 0.45) (c0 + c1 z + c2 z^2)."""
+    poly = F.fadd(
+        F.fconst(cs[0]),
+        F.fscale(F.fz(), cs[1]),
+        F.fscale(F.fmul(F.fz(), F.fz()), cs[2]),
+    )
+    return F.bumped(poly, 0.0, 0.3, 0.45)
+
+
+def _single_fixed_point(g, region, order):
+    pts = G.fixed_points(g, region)
+    assert len(pts) == 1, pts
+    assert G.automorphism_order(g, pts[0]).order == order
+    return pts[0]
+
+
+class TestSplitMultipleFixedPoints:
+    """Rounding splits a fixed point of order n >= 2 into nearby candidates;
+    each such point must come back once, with its true order."""
+
+    @pytest.mark.parametrize("z1", [0.1 + 0.05j, 0.1])
+    def test_double_root_off_origin(self, z1):
+        # g = z + (z - z1)^2: the value is -a'(z1) = -c1
+        act, g = poly_action([z1 * z1, 1.0 - 2.0 * z1, 1.0])
+        z0 = _single_fixed_point(g.cmap, act.domain, 2)
+        assert abs(z0 - z1) < 1e-9
+        got = phi_trace(single0(act, g, _quadratic_window((0.7 - 0.2j, 1.3, 0.0))))
+        assert abs(got.value - (-1.3)) < 1e-9
+
+    def test_triple_root(self):
+        # g = z + (z - z1)^3: the value is -a''(z1)/2 = -c2
+        z1 = 0.1 + 0.05j
+        act, g = poly_action([-(z1**3), 1.0 + 3.0 * z1 * z1, -3.0 * z1, 1.0])
+        z0 = _single_fixed_point(g.cmap, act.domain, 3)
+        assert abs(z0 - z1) < 1e-9
+        cs = (0.4 - 0.2j, 1.1 + 0.6j, -0.8 + 0.3j)
+        got = phi_trace(single0(act, g, _quadratic_window(cs)))
+        assert abs(got.value - (0.8 - 0.3j)) < 1e-9
+
+    def test_composed_map(self):
+        # m o p with p = z + z^2/2, m = z/(0.3 z + 1): g - z = 0.2 z^2 (1 - 1.05 z
+        # + ...), so z^2/(g - z) = 5 + 5.25 z + ... and the value is
+        # -(5 c1 + 5.25 c0)
+        act = G.FreeGeneratorsAction(
+            {"p": G.PolyMap([0.0, 1.0, 0.5]), "m": G.MobiusMap([[1.0, 0.0], [0.3, 1.0]])},
+            F.Disk(0.0, 0.6),
+        )
+        mp = act.compose(act.generator("m"), act.generator("p"))
+        assert isinstance(mp.cmap, G.ChainMap)
+        z0 = _single_fixed_point(mp.cmap, act.domain, 2)
+        assert abs(z0) < 1e-9
+        c0, c1 = 0.7 - 0.2j, 1.3
+        got = phi_trace(single0(act, mp, _quadratic_window((c0, c1, 0.0))))
+        assert abs(got.value - (-(5.0 * c1 + 5.25 * c0))) < 1e-9
+
+
 class TestTraceProperty:
     def test_commutator_sample(self):
         act = std_mobius_action()

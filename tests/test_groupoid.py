@@ -98,6 +98,120 @@ class TestMaps:
         assert not r.contains(0.6)
 
 
+def _ev(tree, z):
+    return F.eval_field(F.ScalarField(tree, None), z)
+
+
+def _chain_parts():
+    """A Mobius map m and a polynomial p; compose_maps keeps m o p a chain."""
+    return G.MobiusMap([[1.0, 0.0], [0.3, 1.0]]), G.PolyMap([0.0, 1.0, 0.5])
+
+
+class TestChainMap:
+    Z_PTS = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.05 - 0.15j])
+
+    def test_compose_maps_gives_a_chain(self):
+        m, p = _chain_parts()
+        g = G.compose_maps(m, p)
+        assert isinstance(g, G.ChainMap)
+        assert g.parts == (m, p)
+
+    def test_apply_and_expr_tree(self):
+        m, p = _chain_parts()
+        g = G.ChainMap([m, p])
+        z = self.Z_PTS
+        w = z + 0.5 * z**2
+        want = w / (0.3 * w + 1.0)
+        assert np.max(np.abs(g.apply(z) - m.apply(p.apply(z)))) == 0.0
+        assert np.max(np.abs(g.apply(z) - want)) < 1e-15
+        assert np.max(np.abs(_ev(g.expr_tree(), z) - want)) < 1e-15
+
+    def test_g_prime_tree_chain_rule(self):
+        m, p = _chain_parts()
+        g = G.ChainMap([m, p])
+        z = self.Z_PTS
+        w = p.apply(z)
+        by_parts = _ev(m.g_prime_tree(), w) * _ev(p.g_prime_tree(), z)
+        closed = (1.0 + z) / (0.3 * w + 1.0) ** 2
+        got = _ev(g.g_prime_tree(), z)
+        assert np.max(np.abs(got - by_parts)) < 1e-14
+        assert np.max(np.abs(got - closed)) < 1e-14
+
+    def test_log_deriv_tree_cocycle_identity(self):
+        # kappa(m o p) = (kappa(m) o p) p' + kappa(p)
+        m, p = _chain_parts()
+        g = G.ChainMap([m, p])
+        z = self.Z_PTS
+        w = p.apply(z)
+        want = _ev(m.log_deriv_tree(), w) * (1.0 + z) + 1.0 / (1.0 + z)
+        assert np.max(np.abs(_ev(g.log_deriv_tree(), z) - want)) < 1e-13
+
+    def test_log_abs_deriv_sq_tree(self):
+        m, p = _chain_parts()
+        g = G.ChainMap([m, p])
+        z = self.Z_PTS
+        gp = (1.0 + z) / (0.3 * p.apply(z) + 1.0) ** 2
+        want = np.log(np.abs(gp) ** 2)
+        assert np.max(np.abs(_ev(g.log_abs_deriv_sq_tree(), z) - want)) < 1e-13
+
+    def test_jet_at_matches_sympy(self):
+        m, p = _chain_parts()
+        g = G.ChainMap([m, p])
+        z0 = 0.1 + 0.05j
+        j = g.jet_at(z0, 6)
+        w = Z + Z**2 / 2
+        expr = w / (sp.Rational(3, 10) * w + 1)
+        for k in range(7):
+            want = complex(sp.diff(expr, Z, k).subs(Z, z0)) / float(sp.factorial(k))
+            assert abs(j.coeff(k) - want) < 1e-12, k
+
+    def test_is_identity_germ(self):
+        m, p = _chain_parts()
+        assert not G.ChainMap([m, p]).is_identity_germ()
+        assert not G.ChainMap([p, m]).is_identity_germ()
+        assert G.ChainMap([m.inverse(), m]).is_identity_germ()
+        assert G.ChainMap([m, G.IdentityMap(), m.inverse()]).is_identity_germ()
+
+
+def _tree_nodes(tree):
+    seen, stack = {}, [tree]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            stack.extend(n.children())
+    return list(seen.values())
+
+
+TREE_METHODS = ("expr_tree", "g_prime_tree", "log_deriv_tree", "log_abs_deriv_sq_tree")
+MAP_MAKERS = {
+    "identity": lambda: G.IdentityMap(),
+    "affine": lambda: G.AffineMap(2.0 - 1j, 0.5),
+    "mobius": lambda: G.MobiusMap([[1.0, 0.5], [1.0, 2.0]]),
+    "poly": lambda: G.PolyMap([0.1, 1.0, 0.5, 0.2]),
+    "chain": lambda: G.ChainMap(list(_chain_parts())),
+}
+
+
+class TestTreesBuiltOnce:
+    @pytest.mark.parametrize("kind", sorted(MAP_MAKERS))
+    def test_every_call_returns_the_same_tree(self, kind):
+        g = MAP_MAKERS[kind]()
+        for name in TREE_METHODS:
+            first = getattr(g, name)()
+            assert getattr(g, name)() is first, name
+
+    def test_mobius_trees_share_one_recip(self):
+        g = MAP_MAKERS["mobius"]()
+        recips = {
+            id(n)
+            for t in (g.expr_tree(), g.g_prime_tree(), g.log_deriv_tree())
+            for n in _tree_nodes(t)
+            if isinstance(n, F.Recip)
+        }
+        assert len(recips) == 1
+
+
 class TestPsl2:
     def test_canonical_normalization(self):
         m = G.canonical_psl2([[2.0, 0.0], [0.0, 2.0]])
