@@ -1,0 +1,94 @@
+"""Compare the CLI reports of two checkouts of this repository.
+
+    python3 scripts/compare_reports.py PARENT CHANGE
+
+Runs the seven golden fixture commands and ``verify --seed 3`` and
+``--seed 7`` with the ``loctrace`` package of each checkout's ``src/``, on
+that checkout's fixtures.  The ``timings`` of every report are dropped.
+Every field that differs is printed, floats with their relative change.
+Exits 1 if a field other than a float differs (a changed string, count,
+flag, key set or list length), else 0.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+RUNS = [
+    ("trace", "dilation2.json"),
+    ("automorphisms", "dilation2.json"),
+    ("pair-even", "bott.json"),
+    ("pair-odd", "odd.json"),
+    ("anomaly", "anomaly.json"),
+    ("dist-check", "dist.json"),
+    ("todd", "todd.json"),
+    ("verify", "--seed=3"),
+    ("verify", "--seed=7"),
+]
+
+
+def report(checkout, command, arg):
+    """One CLI report of the checkout, without its timings."""
+    if not arg.startswith("--"):
+        arg = os.path.join(checkout, "fixtures", arg)
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "loctrace.cli", command, arg, "--out", out],
+            env=env, cwd=checkout, stderr=subprocess.PIPE, text=True,
+        )
+        if not os.path.exists(out):
+            return {"exit": proc.returncode, "stderr": proc.stderr.strip()}
+        with open(out, encoding="utf-8") as fh:
+            got = json.load(fh)
+    got.pop("timings", None)
+    got["exit"] = proc.returncode
+    return got
+
+
+def diffs(a, b, path="$"):
+    """(path, text, is_float) for every field where a and b differ."""
+    if isinstance(a, float) and isinstance(b, float):
+        if a != b and not (a != a and b != b):
+            scale = max(abs(a), abs(b))
+            rel = abs(a - b) / scale if scale else 0.0
+            yield path, f"{a!r} -> {b!r} (relative {rel:.3g})", True
+    elif type(a) is not type(b):
+        yield path, f"{type(a).__name__} -> {type(b).__name__}", False
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
+            yield path, f"keys {sorted(a)} -> {sorted(b)}", False
+        for k in sorted(a.keys() & b.keys()):
+            yield from diffs(a[k], b[k], f"{path}.{k}")
+    elif isinstance(a, list):
+        if len(a) != len(b):
+            yield path, f"length {len(a)} -> {len(b)}", False
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from diffs(x, y, f"{path}[{i}]")
+    elif a != b:
+        yield path, f"{a!r} -> {b!r}", False
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        sys.stderr.write(__doc__)
+        return 2
+    parent, change = (os.path.abspath(p) for p in argv)
+    hard = 0
+    for command, arg in RUNS:
+        found = list(diffs(report(parent, command, arg), report(change, command, arg)))
+        print(f"{command} {arg}: {'==' if not found else f'{len(found)} field(s) differ'}")
+        for path, text, is_float in found:
+            print(f"  {path}: {text}")
+            hard += not is_float
+    return 1 if hard else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -74,27 +74,27 @@ def _diag_sum(mat, p, q):
     return out
 
 
-def _phi_one_term(cmap, mat, region, jet_order, n_max, pad, tag, breakdown):
+def _phi_one_term(cmap, mat, region, jet_order, pad, tag, breakdown):
     """Trace contributions of one coefficient matrix sitting over one map."""
     total = 0j
     a_field = _diag_sum(mat, 0, 0)
     if a_field.is_structural_zero():
         return total
     for z0 in fixed_points(cmap, region):
-        aut = automorphism_order(cmap, z0, jet_order, n_max)
+        aut = automorphism_order(cmap, z0, jet_order)
         m = aut.order + pad
-        if not F.plateau_safe(a_field, z0):
+        a_jet = F.jet2_at(a_field, z0, max(m - 1, 0))
+        if not a_jet.flat:
             raise PlateauError(
                 f"coefficient at {tag} is inside a cutoff transition at fixed point {z0}"
             )
-        a_jet = F.jet2_at(a_field, z0, max(m - 1, 0)).restrict_z()
-        c = aut.trace_coefficient(a_jet, m)
+        c = aut.trace_coefficient(a_jet.restrict_z(), m)
         breakdown.append((tag, z0, aut.order, c))
         total += c
     return total
 
 
-def _trace_values(x, keys, region, jet_order, n_max, pad, breakdown):
+def _trace_values(x, keys, region, jet_order, pad, breakdown):
     """Trace contribution per key, in the given order; keys over identity
     germs contribute nothing and are left out."""
     region = region or x.action.domain
@@ -104,32 +104,26 @@ def _trace_values(x, keys, region, jet_order, n_max, pad, breakdown):
         if lab.cmap.is_identity_germ():
             continue
         out[key] = _phi_one_term(
-            lab.cmap, x.terms[key], region, jet_order, n_max, pad, lab.name, breakdown
+            lab.cmap, x.terms[key], region, jet_order, pad, lab.name, breakdown
         )
     return out
 
 
-def phi_trace(
-    x,
-    region=None,
-    jet_order=16,
-    n_max=8,
-    pad=0,
-):
+def phi_trace(x, region=None, jet_order=16, pad=0):
     """Localized fixed-point trace of a crossed element.  Identity germs and
     the constant part contribute nothing; each isolated fixed point of the
     other labels contributes its extraction coefficient."""
     breakdown = []
     total = 0j
-    for v in _trace_values(x, x.terms, region, jet_order, n_max, pad, breakdown).values():
+    for v in _trace_values(x, x.terms, region, jet_order, pad, breakdown).values():
         total += v
     return CocycleValue(total, 0.0, breakdown)
 
 
-def phi_trace_words(x, region=None, jet_order=16, n_max=8):
+def phi_trace_words(x, region=None, jet_order=16):
     """Wordwise localized trace of a word-indexed element: a map from word
     keys to complex numbers (zero-valued words are kept out)."""
-    got = _trace_values(x, x.sorted_keys(), region, jet_order, n_max, 0, [])
+    got = _trace_values(x, x.sorted_keys(), region, jet_order, 0, [])
     return {key: v for key, v in got.items() if v != 0}
 
 

@@ -9,8 +9,14 @@ The cutoff ("bump") profile equals 1 on a closed plateau disk, 0 outside a
 larger support disk, and is glued with the standard exp(-1/t) profile in the
 annulus between the two radii.  On the plateau and outside the support the
 factor is exactly constant, so Taylor data of any order is available there;
-inside the glue annulus the order is capped (default 8) and higher requests
-raise UnsupportedOrderError.
+inside the glue annulus the order is capped (GLUE_ORDER_CAP) and higher
+requests raise UnsupportedOrderError.
+
+A single-point jet (jet2_at) also records whether it is locally exact: any
+cutoff that meets its point, or the image of that point under a composition,
+inside the transition annulus widened by PLATEAU_MARGIN marks the jet as not
+flat.  The check rides on the jet evaluation itself; batched value queries
+skip it.
 
 Trees are immutable and shared; evaluation memoizes on node identity so that
 products built from common subexpressions do not pay twice.
@@ -60,6 +66,8 @@ __all__ = [
 ]
 
 GLUE_ORDER_CAP = 8
+# relative widening of a cutoff's transition annulus in the flatness check
+PLATEAU_MARGIN = 1e-9
 
 
 class UnsupportedOrderError(Exception):
@@ -312,13 +320,14 @@ def bump_profile_jet(s0, m, r_pl, r_sup):
 
 
 class EvalCtx:
-    __slots__ = ("order_cap", "memo", "npts", "keepalive")
+    __slots__ = ("memo", "npts", "keepalive", "flat")
 
-    def __init__(self, order_cap, npts):
-        self.order_cap = order_cap
+    def __init__(self, npts, check_flat):
         self.memo = {}
         self.npts = npts
         self.keepalive = []
+        # None: not checked; otherwise False once a cutoff was met off its plateau
+        self.flat = True if check_flat else None
 
 
 class Node:
@@ -607,6 +616,10 @@ class Bump(Node):
         wc = dict(wj)
         c00 = wc.get((0, 0), np.zeros(ctx.npts, dtype=complex))
         wc[(0, 0)] = c00 - self.center
+        if ctx.flat:
+            r = np.abs(wc[(0, 0)])
+            lo, hi = self.r_pl * (1 - PLATEAU_MARGIN), self.r_sup * (1 + PLATEAU_MARGIN)
+            ctx.flat = not np.any((r >= lo) & (r <= hi))
         sj = jd_mul(wc, jd_conj(wc), K)
         s0 = np.real(sj.get((0, 0), np.zeros(ctx.npts, dtype=complex)))
         plateau = s0 <= self.r_pl ** 2
@@ -614,9 +627,9 @@ class Bump(Node):
         annulus = ~(plateau | outside)
         out = {(0, 0): plateau.astype(complex)}
         if np.any(annulus):
-            if K > ctx.order_cap:
+            if K > GLUE_ORDER_CAP:
                 raise UnsupportedOrderError(
-                    f"jet order {K} exceeds glue cap {ctx.order_cap} inside a cutoff annulus"
+                    f"jet order {K} exceeds glue cap {GLUE_ORDER_CAP} inside a cutoff annulus"
                 )
             F = bump_profile_jet(s0[annulus], K, self.r_pl, self.r_sup)
             ds = {k: v[annulus] for k, v in sj.items() if k != (0, 0)}
@@ -845,9 +858,11 @@ def fpullback(f, cmap):
 # evaluation entry points
 
 
-def _jet_batch(expr, z, K, order_cap):
+def _jet_batch(expr, z, K, check_flat=False):
+    """Jet dictionary of the tree at a batch of points, and the evaluation's
+    flatness flag (None unless checked)."""
     zflat = np.atleast_1d(np.asarray(z, dtype=complex)).ravel()
-    ctx = EvalCtx(order_cap, zflat.shape[0])
+    ctx = EvalCtx(zflat.shape[0], check_flat)
     raw = expr.jet(zflat, K, ctx)
     shape = np.shape(np.asarray(z))
     out = {}
@@ -856,46 +871,30 @@ def _jet_batch(expr, z, K, order_cap):
         if arr.shape != zflat.shape:
             arr = np.broadcast_to(arr, zflat.shape).copy()
         out[key] = arr.reshape(shape) if shape else arr[0]
-    return out
+    return out, ctx.flat
 
 
-def eval_field(f, z, order_cap=GLUE_ORDER_CAP):
+def eval_field(f, z):
     """Pointwise values; z may be a scalar or any ndarray of points."""
-    d = _jet_batch(f.expr, z, 0, order_cap)
+    d, _ = _jet_batch(f.expr, z, 0)
     got = d.get((0, 0))
     if got is None:
         return np.zeros(np.shape(z), dtype=complex) if np.shape(z) else 0j
     return got
 
 
-def jet2_at(f, z0, order, order_cap=GLUE_ORDER_CAP):
-    """Bivariate jet of the field at a single point."""
-    d = _jet_batch(f.expr, complex(z0), order, order_cap)
-    return Jet2(z0, order, {k: complex(v) for k, v in d.items()})
+def jet2_at(f, z0, order):
+    """Bivariate jet of the field at a single point; its ``flat`` is False
+    when some cutoff factor is not locally constant there."""
+    d, flat = _jet_batch(f.expr, complex(z0), order, check_flat=True)
+    return Jet2(z0, order, {k: complex(v) for k, v in d.items()}, flat)
 
 
-def plateau_safe(f, z0, margin=1e-9):
+def plateau_safe(f, z0):
     """True when every cutoff factor in the tree is locally constant at z0,
     i.e. its inner point lies strictly inside the plateau or strictly outside
     the support.  Composition nodes switch to the mapped chart point."""
-    return _plateau_walk(f.expr, complex(z0), margin)
-
-
-def _plateau_walk(node, z0, margin):
-    if isinstance(node, Compose):
-        w0 = _jet_batch(node.inner, z0, 0, GLUE_ORDER_CAP).get((0, 0), 0j)
-        if not _plateau_walk(node.sub, complex(w0), margin):
-            return False
-        return _plateau_walk(node.inner, z0, margin)
-    if isinstance(node, Bump):
-        w = _jet_batch(node.inner, z0, 0, GLUE_ORDER_CAP).get((0, 0), 0j)
-        r = abs(complex(w) - node.center)
-        if r >= node.r_pl * (1 - margin) and r <= node.r_sup * (1 + margin):
-            return False
-    for c in node.children():
-        if not _plateau_walk(c, z0, margin):
-            return False
-    return True
+    return jet2_at(f, z0, 0).flat
 
 
 # ---------------------------------------------------------------------------

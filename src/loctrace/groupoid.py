@@ -3,12 +3,13 @@
 A map is one of: the identity, affine z -> a z + b, a fractional linear map
 kept as a determinant-1 matrix with a fixed sign convention, a polynomial, or
 a composition chain.  Every map knows how to evaluate itself on point batches,
-produce exact univariate jets at a base point, expose itself as an expression
-tree (so fields can be pulled back through it), and report closed forms for
-g', g''/g' and log|g'|^2 as trees.  Each map builds its trees once, on first
-use, with common subtrees shared between them; every pullback through the map
-reuses those nodes, so field evaluation, which memoizes on node identity,
-computes them once per batch.
+expose itself as an expression tree (so fields can be pulled back through it),
+and report closed forms for g', g''/g' and log|g'|^2 as trees.  Each map
+builds its trees once, on first use, with common subtrees shared between them;
+every pullback through the map reuses those nodes, so field evaluation, which
+memoizes on node identity, computes them once per batch.  A map's univariate
+jet at a base point comes from its own tree, as the holomorphic part of the
+tree's Taylor expansion there (fields.jet2_at); there is no second jet engine.
 
 Fixed points of a map inside a search region are isolated zeros of g(z) - z;
 at each one the local order n is the valuation of the jet of g(z) - z.  A root
@@ -25,16 +26,7 @@ import math
 import numpy as np
 
 from . import fields as F
-from .jets import (
-    Jet1,
-    identity_jet,
-    j_compose,
-    j_div_valuation,
-    j_mul,
-    j_recip,
-    monomial_jet,
-    valuation,
-)
+from .jets import Jet1, identity_jet, j_div_valuation, monomial_jet, valuation
 
 __all__ = [
     "canonical_psl2",
@@ -87,15 +79,6 @@ def psl2_equal(m1, m2, atol=PSL2_ATOL):
     return bool(np.all(np.abs(m1 - m2) <= atol))
 
 
-def _lin_jet(p, q, z0, order):
-    """Jet of p*z + q."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = p * z0 + q
-    if order >= 1:
-        c[1] = p
-    return Jet1(z0, c)
-
-
 class ConformalMap:
     domain: F.Region
 
@@ -103,7 +86,8 @@ class ConformalMap:
         raise NotImplementedError
 
     def jet_at(self, z0, order):
-        raise NotImplementedError
+        """Univariate jet of g at z0: the holomorphic part of its tree's jet."""
+        return F.jet2_at(F.ScalarField(self.expr_tree()), z0, order).restrict_z()
 
     def _build_trees(self):
         """The trees of g, g' and g''/g', built together to share subtrees."""
@@ -154,9 +138,6 @@ class IdentityMap(ConformalMap):
     def apply(self, z):
         return np.asarray(z, dtype=complex)
 
-    def jet_at(self, z0, order):
-        return identity_jet(z0, order)
-
     def _build_trees(self):
         return F.VarZ(), F.Const(1.0), F.Const(0.0)
 
@@ -183,9 +164,6 @@ class AffineMap(ConformalMap):
 
     def apply(self, z):
         return self.a * np.asarray(z, dtype=complex) + self.b
-
-    def jet_at(self, z0, order):
-        return _lin_jet(self.a, self.b, z0, order)
 
     def _build_trees(self):
         t = F.Mul(F.Const(self.a), F.VarZ()) if self.a != 1 else F.VarZ()
@@ -236,13 +214,6 @@ class MobiusMap(ConformalMap):
         if np.any(np.abs(den) < 1e-13):
             raise F.FieldDomainError("fractional linear map evaluated at its pole")
         return (self.a * z + self.b) / den
-
-    def jet_at(self, z0, order):
-        num = _lin_jet(self.a, self.b, z0, order)
-        den = _lin_jet(self.c, self.d, z0, order)
-        if abs(den.coeffs[0]) < 1e-13:
-            raise F.FieldDomainError("jet of a fractional linear map at its pole")
-        return j_mul(num, j_recip(den))
 
     def _build_trees(self):
         z = F.VarZ()
@@ -314,14 +285,6 @@ class PolyMap(ConformalMap):
             acc = acc * z + c
         return acc
 
-    def jet_at(self, z0, order):
-        acc = Jet1(z0, np.zeros(order + 1, dtype=complex))
-        zj = identity_jet(z0, order)
-        for c in self.coeffs[::-1]:
-            acc = j_mul(acc, zj)
-            acc.coeffs[0] += c
-        return acc
-
     def _build_trees(self):
         z = F.VarZ()
 
@@ -370,13 +333,6 @@ class ChainMap(ConformalMap):
         for p in self.parts[::-1]:
             out = p.apply(out)
         return out
-
-    def jet_at(self, z0, order):
-        acc = identity_jet(z0, order)
-        for p in self.parts[::-1]:
-            outer = p.jet_at(complex(acc.coeffs[0]), order)
-            acc = j_compose(outer, acc)
-        return acc
 
     def _build_trees(self):
         # innermost part first: g' multiplies the parts' derivatives, and g''/g'
@@ -601,17 +557,18 @@ class Automorphism:
         )
 
 
-def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, n_max=DEFAULT_N_MAX, label=None):
-    """Local order data of g at a fixed point z0."""
+def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, label=None):
+    """Local order data of g at a fixed point z0; orders above DEFAULT_N_MAX
+    raise UnsupportedOrderError."""
     d = _fix_jet(g, z0, jet_order)
     v = valuation(d)
     if v is None:
         return Automorphism(label, g, z0, math.inf, d, jet_order)
     if v == 0:
         raise ValueError(f"{z0} is not a fixed point: g(z0) - z0 = {d.coeffs[0]}")
-    if v > n_max:
+    if v > DEFAULT_N_MAX:
         raise F.UnsupportedOrderError(
-            f"local order {v} at {z0} exceeds the configured bound {n_max}"
+            f"local order {v} at {z0} exceeds the bound {DEFAULT_N_MAX}"
         )
     return Automorphism(label, g, z0, v, d, jet_order)
 

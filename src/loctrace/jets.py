@@ -18,7 +18,6 @@ __all__ = [
     "Jet2",
     "valuation",
     "j_mul",
-    "j_compose",
     "j_div_valuation",
     "identity_jet",
     "monomial_jet",
@@ -54,11 +53,6 @@ class Jet1:
         if k < 0 or k > self.order:
             return 0j
         return complex(self.coeffs[k])
-
-    def truncate(self, order):
-        if order >= self.order:
-            return self
-        return Jet1(self.base, self.coeffs[: order + 1])
 
     def __repr__(self):
         return f"Jet1(base={self.base:.6g}, coeffs={np.round(self.coeffs, 10)})"
@@ -148,44 +142,19 @@ def j_div_valuation(num, den, order=None):
     return out
 
 
-def j_compose(outer, inner):
-    """Jet of outer(inner(.)) at inner's base.
-
-    Requires inner's value at its base to coincide with outer's base point.
-    """
-    if abs(inner.coeffs[0] - outer.base) > 1e-9 * max(1.0, abs(outer.base)):
-        raise ValueError(
-            f"composition base mismatch: inner value {inner.coeffs[0]} vs outer base {outer.base}"
-        )
-    n = min(outer.order, inner.order)
-    delta = inner.coeffs[: n + 1].copy()
-    delta[0] = 0.0
-    dj = Jet1(inner.base, delta)
-    acc = Jet1(inner.base, np.array([outer.coeffs[min(n, outer.order)]], dtype=complex))
-    acc = Jet1(inner.base, np.concatenate([acc.coeffs, np.zeros(n, dtype=complex)]))
-    for k in range(n - 1, -1, -1):
-        acc = j_mul(acc, dj, n)
-        acc = Jet1(
-            inner.base,
-            np.concatenate(
-                [acc.coeffs, np.zeros(n + 1 - len(acc.coeffs), dtype=complex)]
-            ),
-        )
-        acc.coeffs[0] += outer.coeffs[k]
-    return acc
-
-
 class Jet2:
     """Bivariate jet at a base point: coefficients c[(p, q)] of the expansion
     sum c_{p,q} (z-base)^p (conj(z-base))^q with p+q <= order.  Missing keys
-    are zero."""
+    are zero.  ``flat`` is False when the jet came from a field with a cutoff
+    factor that is not locally constant at the base."""
 
-    __slots__ = ("base", "order", "coeffs")
+    __slots__ = ("base", "order", "coeffs", "flat")
 
-    def __init__(self, base, order, coeffs=None):
+    def __init__(self, base, order, coeffs=None, flat=True):
         self.base = complex(base)
         self.order = int(order)
         self.coeffs = dict(coeffs) if coeffs else {}
+        self.flat = bool(flat)
 
     def coeff(self, p, q):
         return self.coeffs.get((p, q), 0j)

@@ -21,6 +21,7 @@ from .algebra import CrossedForm, DWord, diff_nabla, fc_field, word_mu
 from .cocycles import (
     DEFAULT_DEPTH,
     DEFAULT_TOL,
+    PlateauError,
     integrate_units,
     integrate_units_words,
     phi_trace_words,
@@ -186,7 +187,7 @@ def pair_odd(
 # localization anomalies
 
 
-def anomaly_delta0(omega, region=None, jet_order=16, n_max=8):
+def anomaly_delta0(omega, region=None, jet_order=16):
     """Fixed-point component of the anomaly, applied wordwise to a marked
     word element.
 
@@ -204,17 +205,15 @@ def anomaly_delta0(omega, region=None, jet_order=16, n_max=8):
         n = len(mat)
         total = 0.0 + 0.0j
         for z0 in fixed_points(lab.cmap, region):
-            aut = automorphism_order(lab.cmap, z0, jet_order, n_max)
+            aut = automorphism_order(lab.cmap, z0, jet_order)
             for i in range(n):
                 f = mat[i][i].get(0, 0)
                 if f.is_structural_zero():
                     continue
-                if not F.plateau_safe(f, z0):
-                    raise F.FieldDomainError(
-                        f"coefficient not flat at fixed point {z0}"
-                    )
-                a_jet = F.jet2_at(f, z0, aut.order - 1).restrict_z()
-                total += aut.trace_coefficient(a_jet, aut.order)
+                a_jet = F.jet2_at(f, z0, aut.order - 1)
+                if not a_jet.flat:
+                    raise PlateauError(f"coefficient not flat at fixed point {z0}")
+                total += aut.trace_coefficient(a_jet.restrict_z(), aut.order)
         if total != 0:
             nk = nat_key(key)
             values[nk] = values.get(nk, 0j) + total

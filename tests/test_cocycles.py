@@ -162,6 +162,24 @@ class TestHigherOrder:
         with pytest.raises(PlateauError):
             phi_trace(single0(act, g, bad))
 
+    def test_plateau_error_through_compose(self):
+        # the cutoff sits on its plateau at the fixed point 0, but the
+        # pullback by z + 0.3 evaluates it at 0.3, inside its transition
+        act, g = poly_action([0.0, 2.0])
+        window = F.bumped(F.fz(), 0.0, 0.2, 0.4)
+        assert F.plateau_safe(window, 0.0)
+        bad = F.fpullback(F.fderiv(window, 1, 0), G.AffineMap(1.0, 0.3))
+        assert isinstance(bad.expr, F.Compose)
+        with pytest.raises(PlateauError):
+            phi_trace(single0(act, g, bad))
+
+    def test_plateau_error_through_deriv(self):
+        act, g = poly_action([0.0, 2.0])
+        flat = F.bumped(F.fone(), 0.0, 0.25, 0.45)
+        bad = F.fmul(flat, F.fderiv(F.bumped(F.fz(), 0.05, 0.01, 0.1), 0, 1))
+        with pytest.raises(PlateauError):
+            phi_trace(single0(act, g, bad))
+
 
 def _quadratic_window(cs):
     """bump(0, 0.3, 0.45) (c0 + c1 z + c2 z^2)."""

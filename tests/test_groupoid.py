@@ -107,6 +107,36 @@ def _chain_parts():
     return G.MobiusMap([[1.0, 0.0], [0.3, 1.0]]), G.PolyMap([0.0, 1.0, 0.5])
 
 
+def _sym_maps():
+    """(map, sympy expression) pairs, one per map class."""
+    m, p = _chain_parts()
+    w = Z + Z**2 / 2
+    return [
+        (G.IdentityMap(), Z),
+        (G.AffineMap(2.0 - 1j, 0.5), (2 - sp.I) * Z + sp.Rational(1, 2)),
+        (G.MobiusMap([[1.0, 0.2], [0.5, 1.0]]), (Z + sp.Rational(1, 5)) / (Z / 2 + 1)),
+        (G.PolyMap([0.1, 1.0, 0.5, 0.25]),
+         sp.Rational(1, 10) + Z + Z**2 / 2 + Z**3 / 4),
+        (G.ChainMap([m, p]), w / (sp.Rational(3, 10) * w + 1)),
+    ]
+
+
+@pytest.mark.parametrize(
+    "g,expr", _sym_maps(), ids=["identity", "affine", "mobius", "poly", "chain"]
+)
+def test_jet_at_from_tree_matches_sympy_series(g, expr):
+    # order 16 is the trace's jet order; it runs every term of the reciprocal
+    z0 = 0.1 + 0.05j
+    z0s = sp.Rational(1, 10) + sp.I / 20
+    t = sp.symbols("t")
+    ser = sp.expand(sp.series(sp.cancel(expr.subs(Z, z0s + t)), t, 0, 17).removeO())
+    j = g.jet_at(z0, 16)
+    assert j.order == 16
+    for k in range(17):
+        want = complex(ser.coeff(t, k))
+        assert abs(j.coeff(k) - want) <= 1e-13 * max(1.0, abs(want)), k
+
+
 class TestChainMap:
     Z_PTS = np.array([0.1 + 0.05j, -0.2 + 0.1j, 0.05 - 0.15j])
 
@@ -294,7 +324,7 @@ class TestLocalOrder:
     def test_order_cap_respected(self):
         g = G.PolyMap([0.0, 1.0] + [0.0] * 8 + [1.0])  # z + z^10
         with pytest.raises(Exception):
-            G.automorphism_order(g, 0.0, n_max=8)
+            G.automorphism_order(g, 0.0)
 
     def test_h_jet_padding_invariance(self):
         # the compensator jet extended to m = n+1, n+2 must not change

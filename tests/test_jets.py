@@ -8,7 +8,6 @@ from loctrace.jets import (
     Jet1,
     Jet2,
     identity_jet,
-    j_compose,
     j_div_valuation,
     j_mul,
     j_recip,
@@ -113,26 +112,6 @@ def test_div_valuation_cancels_common_zero():
     assert_jets_close(got, want, tol=1e-10)
 
 
-def test_compose_against_sympy():
-    # outer about inner's constant term, standard chain of truncated series
-    inner_c = [0.5, 2.0, -1.0, 0.25]
-    outer_c = [1.0 + 1j, 0.5, 3.0, -2.0, 0.125]
-    inner = Jet1(0.0, inner_c)
-    outer = Jet1(0.5, outer_c)
-    got = j_compose(outer, inner)
-    fi = sum(c * Z ** k for k, c in enumerate(inner_c))
-    fo = sum(c * (Z - sp.Rational(1, 2)) ** k for k, c in enumerate(outer_c))
-    want = jet_from_sym(sp.expand(fo.subs(Z, fi)), 0.0, 3)
-    assert_jets_close(got, want, tol=1e-10)
-
-
-def test_compose_base_mismatch_rejected():
-    outer = Jet1(1.0, [1.0, 1.0])
-    inner = Jet1(0.0, [0.0, 1.0])  # constant term 0 != outer base 1
-    with pytest.raises(Exception):
-        j_compose(outer, inner)
-
-
 def test_map_jet_matches_direct_series():
     from loctrace.groupoid import MobiusMap
 
@@ -145,13 +124,6 @@ def test_map_jet_matches_direct_series():
     assert_jets_close(j, want, tol=1e-10)
     # value and first derivative agree with direct evaluation
     assert abs(j.coeff(0) - g.apply(z0)) < 1e-14
-
-
-def test_truncate():
-    a = Jet1(0.0, [1, 2, 3, 4, 5])
-    t = a.truncate(2)
-    assert t.order == 2
-    assert t.coeff(2) == 3
 
 
 class TestJet2:

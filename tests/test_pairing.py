@@ -6,7 +6,7 @@ import pytest
 from loctrace import fields as F
 from loctrace import groupoid as G
 from loctrace.algebra import CrossedForm, WordCrossedForm, fc_field
-from loctrace.cocycles import phi_trace_words
+from loctrace.cocycles import PlateauError, phi_trace_words
 from loctrace.pairing import (
     anomaly_delta0,
     anomaly_delta1,
@@ -194,6 +194,15 @@ class TestAnomalyDelta0:
         assert len({nat_key(k) for k in om.sorted_keys()}) == 1
         d0 = anomaly_delta0(om, region=act.domain)
         assert len(d0.terms) <= 1
+
+    def test_plateau_error_when_not_flat(self):
+        # the cutoff's transition annulus crosses the fixed point 0 of c c
+        act = kappa_action()
+        c = act.by_name("c")
+        bad = F.bumped(F.fone(), 0.05, 0.01, 0.1)
+        w = WordCrossedForm(act, 1, cap=4, terms={(c, c): [[fc_field(bad)]]})
+        with pytest.raises(PlateauError):
+            anomaly_delta0(universal_d(w), region=act.domain)
 
 
 def free_affine_anomaly_pair():
