@@ -1,6 +1,7 @@
 """Compare the CLI reports of two checkouts of this repository.
 
     python3 scripts/compare_reports.py PARENT CHANGE
+    python3 scripts/compare_reports.py --ops SEED PARENT CHANGE
 
 Runs the seven golden fixture commands and ``verify --seed 3`` and
 ``--seed 7`` with the ``loctrace`` package of each checkout's ``src/``, on
@@ -8,6 +9,12 @@ that checkout's fixtures.  The ``timings`` of every report are dropped.
 Every field that differs is printed, floats with their relative change.
 Exits 1 if a field other than a float differs (a changed string, count,
 flag, key set or list length), else 0.  Standard library only.
+
+With ``--ops SEED`` it runs instead every operation of the three benchmark
+workloads at that seed: each checkout's ``perfbench/workloads.py`` is loaded
+by path, with that checkout's ``loctrace``, and nothing is written to the
+checkout.  Every operation whose values differ by ``repr`` is printed, and
+the exit status is 1 if there is one, else 0.
 """
 
 from __future__ import annotations
@@ -51,6 +58,48 @@ def report(checkout, command, arg):
     return got
 
 
+# run in a fresh interpreter: argv is the workloads file and the seed
+OPS_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+out = []
+for name, build in workloads.WORKLOADS.items():
+    for op in build(int(sys.argv[2])):
+        try:
+            got = repr(op.call())
+        except Exception as exc:
+            got = f"raised {type(exc).__name__}: {exc}"
+        out.append([name, op.name, got])
+print(json.dumps(out))
+"""
+
+
+def op_values(checkout, seed):
+    """[workload, op name, repr of its values] for every benchmark operation."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    path = os.path.join(checkout, "perfbench", "workloads.py")
+    out = subprocess.run([sys.executable, "-c", OPS_CHILD, path, str(seed)],
+                         env=env, cwd=checkout, stdout=subprocess.PIPE, check=True).stdout
+    return json.loads(out)
+
+
+def compare_ops(seed, parent, change):
+    a, b = op_values(parent, seed), op_values(change, seed)
+    differ = 0
+    for x, y in zip(a, b):
+        if x != y:
+            differ += 1
+            print(f"{x[0]} {x[1]}:\n  {x[2]}\n  {y[2]}")
+    if len(a) != len(b):
+        differ += 1
+        print(f"operations: {len(a)} -> {len(b)}")
+    print(f"seed {seed}: {len(a)} operations, {differ} differ")
+    return 1 if differ else 0
+
+
 def diffs(a, b, path="$"):
     """(path, text, is_float) for every field where a and b differ."""
     if isinstance(a, float) and isinstance(b, float):
@@ -76,6 +125,8 @@ def diffs(a, b, path="$"):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
+    if len(argv) == 4 and argv[0] == "--ops":
+        return compare_ops(int(argv[1]), *(os.path.abspath(p) for p in argv[2:]))
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2

@@ -18,13 +18,21 @@ inside the transition annulus widened by PLATEAU_MARGIN marks the jet as not
 flat.  The check rides on the jet evaluation itself; batched value queries
 skip it.
 
-Trees are immutable and shared; evaluation memoizes on node identity so that
-products built from common subexpressions do not pay twice.
+Trees are immutable and shared.  The interpreter (``EvalCtx`` and each
+node's jet rule) memoizes on node identity so that products built from
+common subexpressions do not pay twice; it serves one-shot values and every
+jet.  A field evaluated on a batch of points a second time, as a quadrature
+integrand is block after block, is compiled once into a flat tape: the same
+jet rules recorded at order 0 as numpy operations on registers, run in one
+arena of reused block-sized rows.  Tape and interpreter give the same
+finite values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+from functools import partial
 
 import numpy as np
 
@@ -202,29 +210,47 @@ def jd_conj(a):
     return {(q, p): np.conj(v) for (p, q), v in a.items()}
 
 
-def jd_pow(a, n, order, npts):
-    out = {(0, 0): np.ones(npts, dtype=complex)}
+def jd_pow(a, n, order, ctx):
+    out = {(0, 0): ctx.full(1.0)}
     for _ in range(n):
         out = jd_mul(out, a, order)
     return out
 
 
-def _split_const(a, npts):
-    c0 = a.get((0, 0), np.zeros(npts, dtype=complex))
+def _value(a, ctx):
+    """The (0, 0) entry of a jet dictionary, zero when it is missing."""
+    v = a.get((0, 0))
+    return ctx.full(0.0) if v is None else v
+
+
+def _split_const(a, ctx):
     rest = {k: v for k, v in a.items() if k != (0, 0)}
-    return c0, rest
+    return _value(a, ctx), rest
 
 
-def jd_recip(a, order, npts, where):
+def _annulus_met(annulus, K):
+    """Whether any point lies in a cutoff's transition annulus."""
+    met = bool(np.any(annulus))
+    if met and K > GLUE_ORDER_CAP:
+        raise UnsupportedOrderError(
+            f"jet order {K} exceeds glue cap {GLUE_ORDER_CAP} inside a cutoff annulus"
+        )
+    return met
+
+
+def _nonvanishing(c0, message):
+    if np.any(np.abs(c0) == 0.0):
+        raise FieldDomainError(message)
+
+
+def jd_recip(a, order, ctx, where):
     """1/f as a jet dictionary; f's value must not vanish on the batch."""
-    c0, rest = _split_const(a, npts)
-    bad = np.abs(c0) == 0.0
-    if np.any(bad):
-        raise FieldDomainError(f"reciprocal of a vanishing field ({where})")
+    c0, rest = _split_const(a, ctx)
+    ctx.nonvanishing(c0, f"reciprocal of a vanishing field ({where})")
     inv0 = 1.0 / c0
     out = {(0, 0): inv0.copy()}
     if rest:
-        term = {(0, 0): np.ones(npts, dtype=complex)}
+        term = {(0, 0): ctx.full(1.0)}
         scaled = jd_scale(rest, -1.0)
         scaled = {k: v * inv0 for k, v in scaled.items()}
         for _ in range(order):
@@ -236,16 +262,14 @@ def jd_recip(a, order, npts, where):
     return out
 
 
-def jd_log(a, order, npts, where):
+def jd_log(a, order, ctx, where):
     """Principal-branch log of f."""
-    c0, rest = _split_const(a, npts)
-    bad = np.abs(c0) == 0.0
-    if np.any(bad):
-        raise FieldDomainError(f"log of a vanishing field ({where})")
+    c0, rest = _split_const(a, ctx)
+    ctx.nonvanishing(c0, f"log of a vanishing field ({where})")
     out = {(0, 0): np.log(c0)}
     if rest:
         u = {k: v / c0 for k, v in rest.items()}
-        term = {(0, 0): np.ones(npts, dtype=complex)}
+        term = {(0, 0): ctx.full(1.0)}
         for m in range(1, order + 1):
             term = jd_mul(term, u, order)
             if not term:
@@ -257,62 +281,87 @@ def jd_log(a, order, npts, where):
 
 
 # ---------------------------------------------------------------------------
-# vectorized univariate jets for the cutoff profile; arrays have shape
-# (order+1, npts) and hold normalized Taylor coefficients.
+# vectorized univariate jets for the cutoff profile; a jet is a list of
+# order+1 arrays of normalized Taylor coefficients.
 
 
 def uv_mul(A, B):
-    m = A.shape[0] - 1
-    out = np.zeros_like(A)
-    for k in range(m + 1):
+    out = []
+    for k in range(len(A)):
+        acc = 0.0
         for j in range(k + 1):
-            out[k] += A[j] * B[k - j]
+            acc = acc + A[j] * B[k - j]
+        out.append(acc)
     return out
 
 
 def uv_recip(A):
-    out = np.zeros_like(A)
-    out[0] = 1.0 / A[0]
-    for k in range(1, A.shape[0]):
-        acc = np.zeros_like(A[0])
+    out = [1.0 / A[0]]
+    for k in range(1, len(A)):
+        acc = 0.0
         for j in range(1, k + 1):
-            acc += A[j] * out[k - j]
-        out[k] = -acc / A[0]
+            acc = acc + A[j] * out[k - j]
+        out.append(-acc / A[0])
     return out
 
 
 def uv_exp(A):
-    out = np.zeros_like(A)
-    out[0] = np.exp(A[0])
-    for k in range(1, A.shape[0]):
-        acc = np.zeros_like(A[0])
+    out = [np.exp(A[0])]
+    for k in range(1, len(A)):
+        acc = 0.0
         for j in range(1, k + 1):
-            acc += j * A[j] * out[k - j]
-        out[k] = acc / k
+            acc = acc + j * A[j] * out[k - j]
+        out.append(acc / k)
     return out
 
 
 def _sqrt_jet(s0, m):
-    """Jet of sqrt at strictly positive s0; rows are binomial(1/2, k) s0^(1/2-k)."""
-    out = np.zeros((m + 1,) + s0.shape)
+    """Jet of sqrt at strictly positive s0: binomial(1/2, k) s0^(1/2-k)."""
+    out = []
     b = 1.0
     for k in range(m + 1):
-        out[k] = b * s0 ** (0.5 - k)
+        # what s0 ** (0.5 - k) computes: numpy takes the square root for 0.5
+        out.append(b * (np.sqrt(s0) if k == 0 else np.power(s0, 0.5 - k)))
         b *= (0.5 - k) / (k + 1)
     return out
 
 
 def bump_profile_jet(s0, m, r_pl, r_sup):
     """Univariate jet in s = |w - c|^2 of the glued cutoff, at interior
-    annulus points r_pl < sqrt(s0) < r_sup.  Returns (m+1, npts) real data."""
+    annulus points r_pl < sqrt(s0) < r_sup."""
     R = _sqrt_jet(s0, m)
-    A = -R.copy()
-    A[0] += r_sup  # r_sup - r
-    B = R.copy()
-    B[0] -= r_pl  # r - r_pl
-    ga = uv_exp(-uv_recip(A))
-    gb = uv_exp(-uv_recip(B))
-    return uv_mul(ga, uv_recip(ga + gb))
+    A = [-r for r in R]
+    A[0] = A[0] + r_sup  # r_sup - r
+    B = list(R)
+    B[0] = B[0] - r_pl  # r - r_pl
+    ga = uv_exp([-a for a in uv_recip(A)])
+    gb = uv_exp([-b for b in uv_recip(B)])
+    return uv_mul(ga, uv_recip([a + b for a, b in zip(ga, gb)]))
+
+
+def _bump_jet(node, wj, K, ctx):
+    """Jet dictionary of a cutoff from the jet of its inner point.  The glue
+    profile is computed on the whole batch, at points moved into the
+    transition annulus where they lie off it, and added on the annulus."""
+    wc = dict(wj)
+    wc[(0, 0)] = _value(wj, ctx) - node.center
+    sj = jd_mul(wc, jd_conj(wc), K)
+    s0 = np.real(_value(sj, ctx))
+    plateau = s0 <= node.r_pl ** 2
+    annulus = ~(plateau | (s0 >= node.r_sup ** 2))
+    out = {(0, 0): plateau.astype(complex)}
+    if not ctx.annulus_met(annulus, K):
+        return out
+    mid = 0.5 * (node.r_pl + node.r_sup)
+    F = bump_profile_jet(ctx.where(annulus, s0, mid * mid), K, node.r_pl, node.r_sup)
+    ds = {k: v for k, v in sj.items() if k != (0, 0)}
+    acc = {(0, 0): F[K].astype(complex)}
+    for k in range(K - 1, -1, -1):
+        acc = jd_mul(acc, ds, K)
+        acc[(0, 0)] = acc.get((0, 0), 0) + F[k]
+    for key, v in acc.items():
+        out[key] = ctx.add_where(out[key] if key in out else ctx.full(0.0), v, annulus)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +369,33 @@ def bump_profile_jet(s0, m, r_pl, r_sup):
 
 
 class EvalCtx:
+    """One interpreter evaluation on a batch of points.  Where the nodes' jet
+    rules need more than arithmetic and numpy ufuncs they call the methods
+    below, so that the tape recorder can run the same rules on registers."""
+
     __slots__ = ("memo", "npts", "keepalive", "flat")
 
-    def __init__(self, npts, check_flat):
+    def __init__(self, npts, check_flat=False):
         self.memo = {}
         self.npts = npts
         self.keepalive = []
         # None: not checked; otherwise False once a cutoff was met off its plateau
         self.flat = True if check_flat else None
+
+    def full(self, value):
+        return np.full(self.npts, value, dtype=complex)
+
+    def nonvanishing(self, c0, message):
+        _nonvanishing(c0, message)
+
+    def annulus_met(self, annulus, K):
+        return _annulus_met(annulus, K)
+
+    def where(self, mask, a, b):
+        return np.where(mask, a, b)
+
+    def add_where(self, base, v, mask):
+        return np.add(base, v, out=base.copy(), where=mask)
 
 
 class Node:
@@ -363,7 +431,7 @@ class Const(Node):
         self.value = complex(value)
 
     def _jet(self, z, K, ctx):
-        return {(0, 0): np.full(ctx.npts, self.value, dtype=complex)}
+        return {(0, 0): ctx.full(self.value)}
 
     def _subst(self, zr, zbr, memo):
         return self
@@ -375,7 +443,7 @@ class VarZ(Node):
     def _jet(self, z, K, ctx):
         out = {(0, 0): z.astype(complex)}
         if K >= 1:
-            out[(1, 0)] = np.ones(ctx.npts, dtype=complex)
+            out[(1, 0)] = ctx.full(1.0)
         return out
 
     def _subst(self, zr, zbr, memo):
@@ -388,7 +456,7 @@ class VarZbar(Node):
     def _jet(self, z, K, ctx):
         out = {(0, 0): np.conj(z)}
         if K >= 1:
-            out[(0, 1)] = np.ones(ctx.npts, dtype=complex)
+            out[(0, 1)] = ctx.full(1.0)
         return out
 
     def _subst(self, zr, zbr, memo):
@@ -463,7 +531,7 @@ class IntPow(Node):
         self.n = int(n)
 
     def _jet(self, z, K, ctx):
-        return jd_pow(self.a.jet(z, K, ctx), self.n, K, ctx.npts)
+        return jd_pow(self.a.jet(z, K, ctx), self.n, K, ctx)
 
     def _subst(self, zr, zbr, memo):
         return IntPow(self.a.subst(zr, zbr, memo), self.n)
@@ -479,7 +547,7 @@ class Recip(Node):
         self.a = a
 
     def _jet(self, z, K, ctx):
-        return jd_recip(self.a.jet(z, K, ctx), K, ctx.npts, "Recip")
+        return jd_recip(self.a.jet(z, K, ctx), K, ctx, "Recip")
 
     def _subst(self, zr, zbr, memo):
         return Recip(self.a.subst(zr, zbr, memo))
@@ -495,7 +563,7 @@ class Log(Node):
         self.a = a
 
     def _jet(self, z, K, ctx):
-        return jd_log(self.a.jet(z, K, ctx), K, ctx.npts, "Log")
+        return jd_log(self.a.jet(z, K, ctx), K, ctx, "Log")
 
     def _subst(self, zr, zbr, memo):
         return Log(self.a.subst(zr, zbr, memo))
@@ -567,21 +635,16 @@ class Compose(Node):
 
     def _jet(self, z, K, ctx):
         gj = self.inner.jet(z, K, ctx)
-        w0 = np.asarray(
-            gj.get((0, 0), np.zeros(ctx.npts, dtype=complex)), dtype=complex
-        )
-        if w0.shape != (ctx.npts,):
-            w0 = np.broadcast_to(w0, (ctx.npts,)).copy()
-        D = self.sub.jet(w0, K, ctx)
+        D = self.sub.jet(_value(gj, ctx), K, ctx)
         if K == 0:
-            return {(0, 0): D.get((0, 0), np.zeros(ctx.npts, dtype=complex))}
+            return {(0, 0): _value(D, ctx)}
         dw = {k: v for k, v in gj.items() if k != (0, 0)}
         dwb = jd_conj(dw)
         out = {}
-        pow_w = {0: {(0, 0): np.ones(ctx.npts, dtype=complex)}}
+        pow_w = {0: {(0, 0): ctx.full(1.0)}}
         for a in range(1, K + 1):
             pow_w[a] = jd_mul(pow_w[a - 1], dw, K)
-        pow_wb = {0: {(0, 0): np.ones(ctx.npts, dtype=complex)}}
+        pow_wb = {0: {(0, 0): ctx.full(1.0)}}
         for b in range(1, K + 1):
             pow_wb[b] = jd_mul(pow_wb[b - 1], dwb, K)
         for (a, b), c in D.items():
@@ -613,36 +676,11 @@ class Bump(Node):
 
     def _jet(self, z, K, ctx):
         wj = self.inner.jet(z, K, ctx)
-        wc = dict(wj)
-        c00 = wc.get((0, 0), np.zeros(ctx.npts, dtype=complex))
-        wc[(0, 0)] = c00 - self.center
         if ctx.flat:
-            r = np.abs(wc[(0, 0)])
+            r = np.abs(_value(wj, ctx) - self.center)
             lo, hi = self.r_pl * (1 - PLATEAU_MARGIN), self.r_sup * (1 + PLATEAU_MARGIN)
             ctx.flat = not np.any((r >= lo) & (r <= hi))
-        sj = jd_mul(wc, jd_conj(wc), K)
-        s0 = np.real(sj.get((0, 0), np.zeros(ctx.npts, dtype=complex)))
-        plateau = s0 <= self.r_pl ** 2
-        outside = s0 >= self.r_sup ** 2
-        annulus = ~(plateau | outside)
-        out = {(0, 0): plateau.astype(complex)}
-        if np.any(annulus):
-            if K > GLUE_ORDER_CAP:
-                raise UnsupportedOrderError(
-                    f"jet order {K} exceeds glue cap {GLUE_ORDER_CAP} inside a cutoff annulus"
-                )
-            F = bump_profile_jet(s0[annulus], K, self.r_pl, self.r_sup)
-            ds = {k: v[annulus] for k, v in sj.items() if k != (0, 0)}
-            acc = {(0, 0): F[K].astype(complex)}
-            for k in range(K - 1, -1, -1):
-                acc = jd_mul(acc, ds, K)
-                key = (0, 0)
-                acc[key] = acc.get(key, 0) + F[k]
-            for key, v in acc.items():
-                if key not in out:
-                    out[key] = np.zeros(ctx.npts, dtype=complex)
-                out[key][annulus] += v
-        return out
+        return _bump_jet(self, wj, K, ctx)
 
     def _subst(self, zr, zbr, memo):
         return Bump(self.inner.subst(zr, zbr, memo), self.center, self.r_pl, self.r_sup)
@@ -658,11 +696,13 @@ class Bump(Node):
 class ScalarField:
     """Expression tree plus an optional conservative support region."""
 
-    __slots__ = ("expr", "support")
+    __slots__ = ("expr", "support", "tape")
 
     def __init__(self, expr, support=None):
         self.expr = expr
         self.support = support
+        # None, False once evaluated on a batch, then the compiled _Tape
+        self.tape = None
 
     def is_structural_zero(self):
         e = self.expr
@@ -875,7 +915,20 @@ def _jet_batch(expr, z, K, check_flat=False):
 
 
 def eval_field(f, z):
-    """Pointwise values; z may be a scalar or any ndarray of points."""
+    """Pointwise values; z may be a scalar or any ndarray of points.  The
+    second evaluation of a field on a batch of points compiles it to a tape,
+    which that batch and every later one runs."""
+    if np.ndim(z):
+        if f.tape is None:
+            f.tape = False  # evaluated once
+        else:
+            if f.tape is False:
+                f.tape = _Tape(f.expr)
+            zflat = np.asarray(z, dtype=complex).ravel()
+            try:
+                return f.tape.run(zflat).reshape(np.shape(z))
+            except _Fallback:
+                pass
     d, _ = _jet_batch(f.expr, z, 0)
     got = d.get((0, 0))
     if got is None:
@@ -895,6 +948,283 @@ def plateau_safe(f, z0):
     i.e. its inner point lies strictly inside the plateau or strictly outside
     the support.  Composition nodes switch to the mapped chart point."""
     return jet2_at(f, z0, 0).flat
+
+
+# ---------------------------------------------------------------------------
+# compiled tapes
+#
+# The recorder runs the nodes' jet rules at order 0 on register handles
+# instead of arrays: every step they take becomes one instruction, in the
+# order the interpreter takes it, so a tape gives the interpreter's bits.
+# Equal instructions on equal operands are one register (value numbering),
+# which also merges structurally equal subtrees.  Constants stay scalars that
+# broadcast; nothing is folded, but a product with 1 is skipped, which
+# changes at most the sign of a zero in a finite value.
+# Instructions whose results are never read are dropped, except the checks.
+#
+# A register that holds an array gets a row of the module's one arena, which
+# grows to the largest row count and block seen; a row is reused as soon as
+# its register is dead.  A batch runs in blocks of _TAPE_BLOCK points, one
+# quadrature block, so the arena stays small.  Evaluation is serial.
+#
+# Only a cutoff's jet above order 0 has a key set that depends on the points:
+# the tape expects its transition annulus to meet the block, and falls back
+# to the interpreter for a batch where it does not.
+
+_TAPE_BLOCK = 4096
+_DTYPES = (np.dtype(complex), np.dtype(np.float64), np.dtype(np.bool_))
+
+
+class _Fallback(Exception):
+    """The batch needs the interpreter: a cutoff jet lacks its annulus keys."""
+
+
+class _Arena:
+    __slots__ = ("buf",)
+
+    def __init__(self):
+        self.buf = np.empty((0, 0), dtype=complex)
+
+    def rows(self, nrows, npts):
+        """Each row as a complex, a float and a bool array of npts entries."""
+        have_rows, have_pts = self.buf.shape
+        if nrows > have_rows or npts > have_pts:
+            self.buf = np.empty((max(nrows, have_rows), max(npts, have_pts)), dtype=complex)
+        rows = list(self.buf[:nrows, :npts])
+        return rows + [r.view(d)[:npts] for d in _DTYPES[1:] for r in rows]
+
+
+_ARENA = _Arena()
+
+
+def _operator(ufunc, reflected=False):
+    if reflected:
+        return lambda self, other: ufunc(other, self)
+    return lambda self, other: ufunc(self, other)
+
+
+class _Reg:
+    """A register of the tape being recorded, holding an array of ``dtype``
+    or, when ``value`` is set, a constant.  Arithmetic on it records an
+    instruction and returns the result register."""
+
+    __slots__ = ("rec", "id", "dtype", "value")
+
+    def __init__(self, rec, rid, dtype, value=None):
+        self.rec = rec
+        self.id = rid
+        self.dtype = dtype
+        self.value = value
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        return self.rec.emit(ufunc, inputs)
+
+    # the operators the jet rules use, as the ufuncs numpy would call
+    __add__, __radd__ = _operator(np.add), _operator(np.add, True)
+    __mul__, __rmul__ = _operator(np.multiply), _operator(np.multiply, True)
+    __truediv__, __rtruediv__ = _operator(np.divide), _operator(np.divide, True)
+    __sub__, __le__ = _operator(np.subtract), _operator(np.less_equal)
+    __ge__, __or__ = _operator(np.greater_equal), _operator(np.bitwise_or)
+
+    def __neg__(self):
+        return np.negative(self)
+
+    def __invert__(self):
+        return np.invert(self)
+
+    @property
+    def real(self):
+        return self.rec.emit(_k_real, (self,), dtype=_DTYPES[1])
+
+    def astype(self, dtype):
+        if self.dtype == dtype:
+            return self
+        return self.rec.emit(_k_copy, (self,), dtype=np.dtype(dtype))
+
+    def copy(self):
+        return self
+
+
+def _is_one(r):
+    return r.value is not None and r.value == 1
+
+
+class _Recorder(EvalCtx):
+    """Evaluation context whose values are registers; ``code`` collects
+    (kernel, output, inputs, pure) instructions."""
+
+    __slots__ = ("code", "consts", "seen", "nregs")
+
+    def __init__(self):
+        super().__init__(None)
+        self.code = []
+        self.consts = []
+        self.seen = {}
+        self.nregs = 1  # register 0 is the batch of points
+
+    def const(self, value):
+        key = ("const", type(value).__name__, repr(value))
+        hit = self.seen.get(key)
+        if hit is None:
+            self.consts.append(value)
+            dtype = np.asarray(value).dtype
+            hit = self.seen[key] = _Reg(self, -len(self.consts), dtype, value)
+        return hit
+
+    def emit(self, kernel, args, dtype=_DTYPES[0], pure=True):
+        """The output register of an instruction; a ufunc's output dtype is
+        the one numpy gives for its operands."""
+        srcs = tuple(a if isinstance(a, _Reg) else self.const(a) for a in args)
+        if kernel is np.multiply:
+            if _is_one(srcs[0]):
+                return srcs[1]
+            if _is_one(srcs[1]):
+                return srcs[0]
+        key = (kernel, tuple(r.id for r in srcs))
+        hit = self.seen.get(key)
+        if hit is None:
+            if isinstance(kernel, np.ufunc):
+                probe = [np.zeros(1, r.dtype) if r.value is None else r.value for r in srcs]
+                with np.errstate(all="ignore"):
+                    dtype = np.asarray(kernel(*probe)).dtype
+            hit = self.seen[key] = _Reg(self, self.nregs, dtype)
+            self.nregs += 1
+            self.code.append((kernel, hit, srcs, pure))
+        return hit
+
+    def full(self, value):
+        return self.const(complex(value))
+
+    def nonvanishing(self, c0, message):
+        self.emit(partial(_k_nonvanishing, message), (c0,), pure=False)
+
+    def annulus_met(self, annulus, K):
+        # order 0 keeps one key either way; the profile adds nothing off the annulus
+        if K > GLUE_ORDER_CAP:
+            self.emit(partial(_k_glue_cap, K), (annulus,), pure=False)
+            return False
+        if K:
+            self.emit(_k_annulus_met, (annulus,), pure=False)
+        return True
+
+    def where(self, mask, a, b):
+        return self.emit(_k_where, (mask, a, b), dtype=a.dtype)
+
+    def add_where(self, base, v, mask):
+        return self.emit(_k_add_where, (base, v, mask), dtype=base.dtype)
+
+
+class _Tape:
+    """A field's order-0 evaluation as a flat list of instructions on arena
+    rows: ``code`` holds (kernel, output, inputs) with operands as indices
+    into the run's operand list [z, the rows as complex, as float and as bool
+    arrays, the constants]."""
+
+    __slots__ = ("code", "nrows", "consts", "result")
+
+    def __init__(self, expr):
+        rec = _Recorder()
+        res = _value(expr.jet(_Reg(rec, 0, _DTYPES[0]), 0, rec), rec)
+        code = self._live(rec.code, res)
+        # last instruction reading each register; the result is read at the end
+        last = {r.id: i for i, ins in enumerate(code) for r in ins[2]}
+        last[res.id] = len(code)
+        row, free = {}, []
+        self.nrows = 0
+        placed = []
+        for i, (kernel, out, srcs, pure) in enumerate(code):
+            dying = [r for r in set(srcs) if r.id in row and last[r.id] == i]
+            # an elementwise output may take the row of a dying input of its dtype
+            early = [r for r in dying if r.dtype == out.dtype and isinstance(kernel, np.ufunc)]
+            for r in early:
+                heapq.heappush(free, row[r.id])
+            if pure:
+                row[out.id] = heapq.heappop(free) if free else self._grow()
+            for r in dying:
+                if r not in early:
+                    heapq.heappush(free, row[r.id])
+            placed.append((kernel, out, srcs))
+
+        def index(r):
+            if r.value is not None:  # constants follow the rows of every dtype
+                return 3 * self.nrows - r.id
+            if r.id == 0:
+                return 0
+            return 1 + _DTYPES.index(r.dtype) * self.nrows + row[r.id]
+
+        self.code = [(kernel, index(out) if out.id in row else 0,
+                      tuple(index(r) for r in srcs)) for kernel, out, srcs in placed]
+        self.consts = rec.consts
+        self.result = index(res)
+
+    def _grow(self):
+        self.nrows += 1
+        return self.nrows - 1
+
+    @staticmethod
+    def _live(code, res):
+        """The instructions that the result or a check depends on."""
+        live = {res.id}
+        kept = []
+        for ins in reversed(code):
+            out, srcs, pure = ins[1], ins[2], ins[3]
+            if pure and out.id not in live:
+                continue
+            kept.append(ins)
+            live.update(r.id for r in srcs)
+        return kept[::-1]
+
+    def run(self, zflat):
+        out = np.empty(len(zflat), dtype=complex)
+        for a in range(0, len(zflat), _TAPE_BLOCK):
+            z = zflat[a : a + _TAPE_BLOCK]
+            env = [z, *_ARENA.rows(self.nrows, len(z)), *self.consts]
+            for kernel, d, s in self.code:
+                if len(s) == 2:
+                    kernel(env[s[0]], env[s[1]], out=env[d])
+                elif len(s) == 1:
+                    kernel(env[s[0]], out=env[d])
+                else:
+                    kernel(*[env[i] for i in s], out=env[d])
+            out[a : a + len(z)] = env[self.result]
+        return out
+
+
+# tape kernels other than ufuncs: kernel(*inputs, out=output row); a check
+# is handed the points as its output and writes nothing
+
+
+def _k_real(x, out):
+    np.copyto(out, x.real)
+
+
+def _k_copy(x, out):
+    np.copyto(out, x)
+
+
+def _k_where(mask, a, b, out):
+    np.copyto(out, b)
+    np.copyto(out, a, where=mask)
+
+
+def _k_add_where(base, v, mask, out):
+    np.copyto(out, base)
+    np.add(out, v, out=out, where=mask)
+
+
+def _k_nonvanishing(message, c0, out):
+    _nonvanishing(c0, message)
+
+
+def _k_annulus_met(annulus, out):
+    if not annulus.any():
+        raise _Fallback
+
+
+def _k_glue_cap(K, annulus, out):
+    _annulus_met(annulus, K)
 
 
 # ---------------------------------------------------------------------------

@@ -408,11 +408,15 @@ def compose_maps(g, h, domain=None):
 
 
 def _dedupe(points, tol=FIXPOINT_DEDUPE):
-    out = []
+    """The points in sorted order, each kept if it is farther than tol from
+    every point kept before it."""
+    kept = np.empty(len(points), dtype=complex)
+    n = 0
     for p in sorted(points, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
-        if all(abs(p - q) > tol for q in out):
-            out.append(p)
-    return out
+        if np.all(np.abs(p - kept[:n]) > tol):
+            kept[n] = p
+            n += 1
+    return [complex(p) for p in kept[:n]]
 
 
 def fixed_points(g, region=None, grid=NEWTON_GRID):

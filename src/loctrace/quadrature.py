@@ -4,11 +4,12 @@ Cells are axis-aligned rectangles carrying a tensor Gauss-Legendre rule of
 order 8.  A cell is accepted when the sum over its four children agrees with
 the parent value within the cell's share of the global tolerance; otherwise
 the children are refined, down to a depth limit.  Each depth level is
-evaluated in fixed blocks of 64 whole cells: the field interpreter's arrays
-for a whole level (up to 10^5 points) lie above glibc's mmap threshold, and
-faulting them in afresh cost more than the arithmetic.  Evaluation and
-reduction run serially in a fixed order, so repeated runs agree bit for bit;
-across machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
+evaluated in fixed blocks of 64 whole cells, which a field's compiled tape
+runs in reused block-sized rows (see ``fields``); arrays for a whole level
+(up to 10^5 points) lie above glibc's mmap threshold, and faulting them in
+afresh cost more than the arithmetic.  Evaluation and reduction run serially
+in a fixed order, so repeated runs agree bit for bit; across machines floats
+agree within rel 1e-12 / abs 1e-14; all else is exact.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ GL_ORDER = 8
 _nodes, _weights = np.polynomial.legendre.leggauss(GL_ORDER)
 _W2 = np.outer(_weights, _weights)
 _PTS = GL_ORDER * GL_ORDER  # points per cell
-# 4,096 points: a block's complex array is 64 KiB, below the 128 KiB mmap
-# threshold and within L2; 16 cells ran 2x slower, 256 as slow as a level
+# 4,096 points: a block's complex array, and each row of the tape arena, is
+# 64 KiB, below the 128 KiB mmap threshold.  With the tape (benchmark
+# ``cocycle`` workload, 2-core VM), 16 cells ran 1.35x slower, as numpy's cost
+# per call then outweighs the arithmetic; 256 cells ran no faster and raised
+# peak memory by 9 MB, the arena's rows growing with the block.
 _BLOCK_CELLS = 64
 
 

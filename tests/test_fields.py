@@ -254,3 +254,88 @@ def test_domain_error_on_unbounded_support():
     # integration-facing helpers need a bbox; plain fields have none
     f = F.fmul(F.fz(), F.fz())
     assert f.support is None
+
+
+# ---------------------------------------------------------------------------
+# compiled tapes: a field's second batched evaluation runs a tape, which must
+# give the interpreter's values
+
+TAPE_TREES = {
+    "arith": "(+ (c 0.3 0.2) (* (c 0 1.5) z) (* z zbar) (neg (pow zbar 2)))",
+    "recip-log-conj": "(* (recip (+ (c 2 0) z)) (conj (log (+ (c 2 0) (* z zbar)))))",
+    "bump": "(* (+ (c 0.3 0.2) z) (bump 0.1 0 0.2 0.45))",
+    "bump-of-map": "(bump 0 0 0.2 0.45 (pow (+ z (c 0.1 0)) 2))",
+    "deriv-1": "(deriv 0 1 (* (+ (c 0.3 0.2) (* z zbar)) (bump 0.1 0 0.2 0.45)))",
+    # order 2: three terms meet in one key, so their order shows in the bits
+    "deriv-2": "(deriv 2 0 (* (log (+ (c 2 0) z)) (bump 0.1 0 0.2 0.45)))",
+    "deriv-11-recip": "(deriv 1 1 (recip (+ (c 2 0) (* z (bump 0.1 0 0.2 0.45)))))",
+    # where the annulus is empty the cutoff's jet has one key, which changes
+    # the key order of the first product and so the sums in the second
+    "deriv-11-key-order": "(deriv 1 1 (* (* (+ (c 0.3 0.2) (* z z) zbar) (bump 0.1 0 0.2 0.45)) "
+                          "(log (+ (c 2 0) (* z zbar)))))",
+    "compose": "(compose (deriv 1 1 (* (pow zbar 2) (bump 0.1 0 0.2 0.45))) "
+               "(* (+ z (c 0.05 0)) (recip (+ (c 1 0) (* (c 0.3 0) z)))))",
+}
+
+
+def _grid(n, lo, hi):
+    x = np.linspace(lo, hi, n)
+    return (x[None, :] + 1j * x[:, None]).ravel()
+
+
+def _tape_blocks():
+    mixed = _grid(64, -0.6, 0.6)
+    r = np.abs(mixed - 0.1)
+    return {"mixed": mixed, "no-annulus": mixed[(r < 0.19) | (r > 0.46)]}
+
+
+@pytest.mark.parametrize("block", ["mixed", "no-annulus"])
+@pytest.mark.parametrize("name", sorted(TAPE_TREES))
+def test_tape_matches_interpreter(name, block):
+    z = _tape_blocks()[block]
+    r = np.abs(z - 0.1)
+    assert np.any(r <= 0.2) and np.any(r >= 0.45)
+    assert np.any((r > 0.2) & (r < 0.45)) == (block == "mixed")
+    f = F.field_from_sexp(TAPE_TREES[name])
+    want = F.eval_field(f, z)  # the first batch is interpreted
+    assert f.tape is False
+    got = F.eval_field(f, z)
+    assert f.tape
+    assert np.array_equal(got, want)
+    assert np.array_equal(F.eval_field(f, z[::-1]), want[::-1])
+
+
+@pytest.mark.parametrize("sexp, message", [
+    ("(recip (+ z (c -0.5 0)))", "reciprocal of a vanishing field (Recip)"),
+    ("(log (* (+ z (c -0.5 0)) (bump 0 0 0.6 0.9)))", "log of a vanishing field (Log)"),
+])
+def test_tape_raises_the_interpreter_domain_error(sexp, message):
+    bad = np.array([0.1, 0.5, 0.2j])
+    with pytest.raises(F.FieldDomainError) as interpreted:
+        F.eval_field(F.field_from_sexp(sexp), bad)
+    f = F.field_from_sexp(sexp)
+    F.eval_field(f, bad[::2])
+    F.eval_field(f, bad[::2])
+    assert f.tape
+    with pytest.raises(F.FieldDomainError) as taped:
+        F.eval_field(f, bad)
+    assert str(taped.value) == str(interpreted.value) == message
+
+
+def test_tape_built_once_and_arena_bounded():
+    f = F.field_from_sexp(TAPE_TREES["compose"])
+    F.eval_field(f, 0.3)
+    F.eval_field(f, 0.1 + 0.2j)
+    assert f.tape is None  # one-shot values stay on the interpreter
+    block = _grid(64, -0.6, 0.6)
+    want = F.eval_field(f, block)
+    F.eval_field(f, block)
+    tape = f.tape
+    shape = F._ARENA.buf.shape
+    assert shape[1] == F._TAPE_BLOCK
+    batch = _grid(111, -0.6, 0.6)  # three blocks and a remainder
+    for _ in range(3):
+        assert np.array_equal(F.eval_field(f, block), want)
+        F.eval_field(f, batch.reshape(111, 111))
+    assert f.tape is tape
+    assert F._ARENA.buf.shape == shape

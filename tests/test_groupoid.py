@@ -424,3 +424,20 @@ class TestActions:
         assert act.compose(r2, r1) == act.unit
         assert act.inverse(r1) == r2
         assert len(act.labels()) == 3
+
+
+def test_dedupe_matches_pairwise_loop():
+    # the 1,024 Newton candidates of a chain whose fixed points crowd together
+    g = G.compose_maps(G.MobiusMap([[1.0, 0.0], [1e-9, 1.0]]), G.PolyMap([0, 1, 0, 0, 1]))
+    region = F.Disk(0.0, 0.6)
+    cands = [complex(p) for p in G._newton_fixed_points(g, region, G.NEWTON_GRID)
+             if bool(np.all(region.contains(p)))]
+    assert len(cands) == 1024
+    # and with near copies of every seventh one, which must be dropped
+    for pts in (cands, cands + [p + 1e-10j for p in cands[::7]]):
+        want = []
+        for p in sorted(pts, key=lambda w: (round(w.real, 12), round(w.imag, 12))):
+            if all(abs(p - q) > G.FIXPOINT_DEDUPE for q in want):
+                want.append(p)
+        assert len(want) == 1024
+        assert [repr(p) for p in G._dedupe(pts)] == [repr(p) for p in want]

@@ -20,8 +20,6 @@ Z = sp.symbols("z")
 
 def sym_coeffs(expr, base, order):
     """Taylor coefficients of expr about base, via sympy."""
-    ser = sp.series(expr, Z, base, order + 1).removeO()
-    poly = sp.Poly(sp.expand(ser), Z - base) if base == 0 else None
     out = []
     for k in range(order + 1):
         c = sp.diff(expr, Z, k).subs(Z, base) / sp.factorial(k)
