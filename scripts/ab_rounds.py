@@ -1,0 +1,110 @@
+"""Interleaved benchmark rounds of two checkouts of this repository.
+
+    python3 scripts/ab_rounds.py PARENT CHANGE WORKLOAD N [SEED]
+
+Starts one long-lived child process per checkout.  Each child loads that
+checkout's ``perfbench/run.py`` by path, which fixes glibc's malloc
+thresholds and the BLAS thread count, imports the checkout's ``src/`` with
+it, and loads the checkout's ``perfbench/workloads.py`` by path; nothing is
+written to either checkout.  One warm-up round runs in each child, and then
+N rounds in each, alternately, with the order flipped every round, so that
+a drift of the machine's speed falls on both alike.  A round builds the
+workload's inputs at SEED (default 1, ``run.py``'s) untimed and times the
+calls as ``run.py`` does.
+
+Prints every round, then the median seconds per round of each checkout,
+their ratio (change / parent), the rounds the change was faster in, the
+median minor page faults per round and the failed operations.  Exits 1 if
+an operation failed, else 0.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import statistics
+import subprocess
+import sys
+
+# argv: the checkout, the workload, the seed; one round per line on stdin
+CHILD = """
+import importlib.util, json, os, resource, sys, types
+root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+def load(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(root, "perfbench", name + ".py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+run = load("run")
+run.import_loctrace()
+build = load("workloads").WORKLOADS[workload]
+watch = types.SimpleNamespace(unconverged=0)
+for _ in sys.stdin:
+    ops = build(seed)
+    f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    wall, outcomes = run.run_round(ops, watch)
+    f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    failed = [f"{name}: {why}" for name, _, why in outcomes if why is not None]
+    print(json.dumps({"wall": wall, "minflt": f1 - f0, "failed": failed}), flush=True)
+"""
+
+
+class Child:
+    def __init__(self, checkout, workload, seed):
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", CHILD, checkout, workload, str(seed)],
+            cwd=checkout, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
+        )
+
+    def round(self):
+        self.proc.stdin.write("\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
+        if not line:
+            raise RuntimeError(f"child exited with status {self.proc.wait()}")
+        return json.loads(line)
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) not in (4, 5):
+        sys.stderr.write(__doc__)
+        return 2
+    parent, change = (os.path.abspath(p) for p in argv[:2])
+    workload, n = argv[2], int(argv[3])
+    seed = int(argv[4]) if len(argv) == 5 else 1
+    kids = {"parent": Child(parent, workload, seed), "change": Child(change, workload, seed)}
+    got = {"parent": [], "change": []}
+    try:
+        for kid in kids.values():
+            kid.round()  # warm-up
+        for i in range(n):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for name in order:
+                got[name].append(kids[name].round())
+            a, b = got["parent"][-1]["wall"], got["change"][-1]["wall"]
+            print(f"round {i + 1:3d} ({order[0]} first): parent {a:.3f} s  change {b:.3f} s")
+    finally:
+        for kid in kids.values():
+            kid.close()
+    med = {k: statistics.median(r["wall"] for r in v) for k, v in got.items()}
+    wins = sum(c["wall"] < p["wall"] for p, c in zip(got["parent"], got["change"]))
+    print(f"{workload} seed {seed}, {n} rounds each")
+    print(f"median wall: parent {med['parent']:.3f} s, change {med['change']:.3f} s, "
+          f"ratio {med['change'] / med['parent']:.3f}; change faster in {wins} of {n}")
+    for k, v in got.items():
+        faults = statistics.median(r["minflt"] for r in v)
+        failed = sorted({f for r in v for f in r["failed"]})
+        print(f"{k}: median minor faults per round {faults:.0f}; failed ops {len(failed)}")
+        for f in failed:
+            print(f"  {f}")
+    return 1 if any(r["failed"] for v in got.values() for r in v) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

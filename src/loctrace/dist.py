@@ -81,8 +81,8 @@ def _cauchy_pair(z0, psi, tol, max_depth):
     if not near.is_structural_zero():
         # polar chart: d^2 z = r dr dtheta cancels the 1/r of the kernel
         def f_polar(r, th):
-            pts = z0 + r * np.exp(1j * th)
-            return np.exp(-1j * th) * F.eval_field(near, pts)
+            e = np.exp(1j * th)  # conj(e) is exp(-1j * th), bit for bit
+            return np.conj(e) * F.eval_field(near, z0 + r * e)
 
         res = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
         value += res.value
@@ -96,8 +96,9 @@ def _cauchy_pair(z0, psi, tol, max_depth):
         def f_far(z):
             vals = F.eval_field(far, z)
             den = z - z0
-            # the far factor vanishes identically inside the plateau
-            safe = np.abs(den) > guard
+            # the far factor vanishes identically inside the plateau, so the
+            # rounding of |den|^2 near the guard does not show
+            safe = den.real * den.real + den.imag * den.imag > guard * guard
             return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
 
         res = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth)

@@ -239,7 +239,8 @@ def _annulus_met(annulus, K):
 
 
 def _nonvanishing(c0, message):
-    if np.any(np.abs(c0) == 0.0):
+    # a complex value is falsy exactly when both parts are zero; NaN is truthy
+    if not np.all(c0):
         raise FieldDomainError(message)
 
 
@@ -330,37 +331,42 @@ def bump_profile_jet(s0, m, r_pl, r_sup):
     """Univariate jet in s = |w - c|^2 of the glued cutoff, at interior
     annulus points r_pl < sqrt(s0) < r_sup."""
     R = _sqrt_jet(s0, m)
-    A = [-r for r in R]
-    A[0] = A[0] + r_sup  # r_sup - r
-    B = list(R)
-    B[0] = B[0] - r_pl  # r - r_pl
-    ga = uv_exp([-a for a in uv_recip(A)])
-    gb = uv_exp([-b for b in uv_recip(B)])
+    # exp(-1/(r_sup - r)) and exp(-1/(r - r_pl)) as the exponentials of the
+    # reciprocals of r - r_sup and r_pl - r: the reciprocal of a negated jet
+    # is the negated reciprocal, bit for bit
+    A = [R[0] - r_sup] + R[1:]
+    B = [r_pl - R[0]] + [-r for r in R[1:]]
+    ga = uv_exp(uv_recip(A))
+    gb = uv_exp(uv_recip(B))
     return uv_mul(ga, uv_recip([a + b for a, b in zip(ga, gb)]))
 
 
 def _bump_jet(node, wj, K, ctx):
     """Jet dictionary of a cutoff from the jet of its inner point.  The glue
     profile is computed on the whole batch, at points moved into the
-    transition annulus where they lie off it, and added on the annulus."""
+    transition annulus where they lie off it, and kept on the annulus."""
     wc = dict(wj)
     wc[(0, 0)] = _value(wj, ctx) - node.center
     sj = jd_mul(wc, jd_conj(wc), K)
     s0 = np.real(_value(sj, ctx))
     plateau = s0 <= node.r_pl ** 2
     annulus = ~(plateau | (s0 >= node.r_sup ** 2))
-    out = {(0, 0): plateau.astype(complex)}
     if not ctx.annulus_met(annulus, K):
-        return out
+        return {(0, 0): plateau.astype(complex)}
     mid = 0.5 * (node.r_pl + node.r_sup)
     F = bump_profile_jet(ctx.where(annulus, s0, mid * mid), K, node.r_pl, node.r_sup)
-    ds = {k: v for k, v in sj.items() if k != (0, 0)}
-    acc = {(0, 0): F[K].astype(complex)}
-    for k in range(K - 1, -1, -1):
-        acc = jd_mul(acc, ds, K)
-        acc[(0, 0)] = acc.get((0, 0), 0) + F[k]
-    for key, v in acc.items():
-        out[key] = ctx.add_where(out[key] if key in out else ctx.full(0.0), v, annulus)
+    # the value is the profile on the annulus, where the plateau is 0; the
+    # profile is never -0, so adding it to 0 is the same
+    out = {(0, 0): ctx.where(annulus, F[0], plateau).astype(complex)}
+    if K:
+        ds = {k: v for k, v in sj.items() if k != (0, 0)}
+        acc = {(0, 0): F[K].astype(complex)}
+        for k in range(K - 1, -1, -1):
+            acc = jd_mul(acc, ds, K)
+            if k:
+                acc[(0, 0)] = acc.get((0, 0), 0) + F[k]
+        for key, v in acc.items():
+            out[key] = ctx.add_where(ctx.full(0.0), v, annulus)
     return out
 
 
@@ -958,8 +964,11 @@ def plateau_safe(f, z0):
 # order the interpreter takes it, so a tape gives the interpreter's bits.
 # Equal instructions on equal operands are one register (value numbering),
 # which also merges structurally equal subtrees.  Constants stay scalars that
-# broadcast; nothing is folded, but a product with 1 is skipped, which
-# changes at most the sign of a zero in a finite value.
+# broadcast and nothing is folded, but the recorder drops the identities
+# x * 1, x + 0, x - 0 and x / 1, turns x * -1 into -x, and absorbs negations
+# into their reader: -(-x) = x, a + (-b) = a - b, (-a) + b = b - a,
+# a - (-b) = a + b, c (-x) = (-c) x and c / (-x) = (-c) / x for a constant c.
+# Each is exact in IEEE arithmetic but for the sign of a zero.
 # Instructions whose results are never read are dropped, except the checks.
 #
 # A register that holds an array gets a row of the module's one arena, which
@@ -1008,13 +1017,14 @@ class _Reg:
     or, when ``value`` is set, a constant.  Arithmetic on it records an
     instruction and returns the result register."""
 
-    __slots__ = ("rec", "id", "dtype", "value")
+    __slots__ = ("rec", "id", "dtype", "value", "neg")
 
     def __init__(self, rec, rid, dtype, value=None):
         self.rec = rec
         self.id = rid
         self.dtype = dtype
         self.value = value
+        self.neg = None  # x when this register is -x
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
         if method != "__call__" or kwargs:
@@ -1025,8 +1035,9 @@ class _Reg:
     __add__, __radd__ = _operator(np.add), _operator(np.add, True)
     __mul__, __rmul__ = _operator(np.multiply), _operator(np.multiply, True)
     __truediv__, __rtruediv__ = _operator(np.divide), _operator(np.divide, True)
-    __sub__, __le__ = _operator(np.subtract), _operator(np.less_equal)
-    __ge__, __or__ = _operator(np.greater_equal), _operator(np.bitwise_or)
+    __sub__, __rsub__ = _operator(np.subtract), _operator(np.subtract, True)
+    __le__, __ge__ = _operator(np.less_equal), _operator(np.greater_equal)
+    __or__ = _operator(np.bitwise_or)
 
     def __neg__(self):
         return np.negative(self)
@@ -1047,8 +1058,23 @@ class _Reg:
         return self
 
 
-def _is_one(r):
-    return r.value is not None and r.value == 1
+def _is_const(r, v):
+    return r.value is not None and r.dtype.kind != "b" and r.value == v
+
+
+# a ufunc's output dtype by its operands: an array register's dtype, or the
+# Python type of a constant, which numpy treats as weak
+_UFUNC_DTYPES = {}
+
+
+def _ufunc_dtype(ufunc, srcs):
+    key = (ufunc, *(r.dtype if r.value is None else type(r.value) for r in srcs))
+    hit = _UFUNC_DTYPES.get(key)
+    if hit is None:
+        probe = [np.zeros(1, r.dtype) if r.value is None else r.value for r in srcs]
+        with np.errstate(all="ignore"):
+            hit = _UFUNC_DTYPES[key] = np.asarray(ufunc(*probe)).dtype
+    return hit
 
 
 class _Recorder(EvalCtx):
@@ -1077,22 +1103,59 @@ class _Recorder(EvalCtx):
         """The output register of an instruction; a ufunc's output dtype is
         the one numpy gives for its operands."""
         srcs = tuple(a if isinstance(a, _Reg) else self.const(a) for a in args)
-        if kernel is np.multiply:
-            if _is_one(srcs[0]):
-                return srcs[1]
-            if _is_one(srcs[1]):
-                return srcs[0]
+        if isinstance(kernel, np.ufunc):
+            dtype = _ufunc_dtype(kernel, srcs)
+            hit = self._exact(kernel, srcs, dtype)
+            if hit is not None:
+                return hit
         key = (kernel, tuple(r.id for r in srcs))
         hit = self.seen.get(key)
         if hit is None:
-            if isinstance(kernel, np.ufunc):
-                probe = [np.zeros(1, r.dtype) if r.value is None else r.value for r in srcs]
-                with np.errstate(all="ignore"):
-                    dtype = np.asarray(kernel(*probe)).dtype
             hit = self.seen[key] = _Reg(self, self.nregs, dtype)
             self.nregs += 1
             self.code.append((kernel, hit, srcs, pure))
+            if kernel is np.negative:
+                hit.neg = srcs[0]
         return hit
+
+    def _exact(self, ufunc, srcs, dtype):
+        """The register that the instruction equals by one of the exact
+        rewrites, or None.  An identity is dropped only where the operand
+        has the output's dtype, except a product with 1, as before."""
+        if ufunc is np.negative:
+            return srcs[0].neg
+        if len(srcs) != 2:
+            return None
+        a, b = srcs
+        if ufunc is np.multiply:
+            if _is_const(a, 1):
+                return b
+            if _is_const(b, 1):
+                return a
+            if _is_const(b, -1) and a.dtype == dtype:
+                return self.emit(np.negative, (a,))
+            if a.value is not None and b.neg is not None:
+                return self.emit(np.multiply, (-a.value, b.neg))
+        elif ufunc is np.add:
+            if _is_const(b, 0) and a.dtype == dtype:
+                return a
+            if _is_const(a, 0) and b.dtype == dtype:
+                return b
+            if b.neg is not None:
+                return self.emit(np.subtract, (a, b.neg))
+            if a.neg is not None:
+                return self.emit(np.subtract, (b, a.neg))
+        elif ufunc is np.subtract:
+            if _is_const(b, 0) and a.dtype == dtype:
+                return a
+            if b.neg is not None:
+                return self.emit(np.add, (a, b.neg))
+        elif ufunc is np.divide:
+            if _is_const(b, 1) and a.dtype == dtype:
+                return a
+            if a.value is not None and b.neg is not None:
+                return self.emit(np.divide, (-a.value, b.neg))
+        return None
 
     def full(self, value):
         return self.const(complex(value))
@@ -1183,17 +1246,17 @@ class _Tape:
             env = [z, *_ARENA.rows(self.nrows, len(z)), *self.consts]
             for kernel, d, s in self.code:
                 if len(s) == 2:
-                    kernel(env[s[0]], env[s[1]], out=env[d])
+                    kernel(env[s[0]], env[s[1]], env[d])
                 elif len(s) == 1:
-                    kernel(env[s[0]], out=env[d])
+                    kernel(env[s[0]], env[d])
                 else:
-                    kernel(*[env[i] for i in s], out=env[d])
+                    kernel(*[env[i] for i in s], env[d])
             out[a : a + len(z)] = env[self.result]
         return out
 
 
-# tape kernels other than ufuncs: kernel(*inputs, out=output row); a check
-# is handed the points as its output and writes nothing
+# tape kernels other than ufuncs: kernel(*inputs, output row), as a ufunc is
+# called; a check is handed the points as its output and writes nothing
 
 
 def _k_real(x, out):
@@ -1210,8 +1273,9 @@ def _k_where(mask, a, b, out):
 
 
 def _k_add_where(base, v, mask, out):
-    np.copyto(out, base)
-    np.add(out, v, out=out, where=mask)
+    # out is never an input's row: only ufunc outputs take a dying input's row
+    np.add(base, v, out=out)
+    np.copyto(out, base, where=~mask)
 
 
 def _k_nonvanishing(message, c0, out):

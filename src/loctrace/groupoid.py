@@ -419,10 +419,26 @@ def _dedupe(points, tol=FIXPOINT_DEDUPE):
     return [complex(p) for p in kept[:n]]
 
 
+def _memo(g, name):
+    """A cache kept on the map object; labels intern their maps, so it lives
+    as long as the action."""
+    return g.__dict__.setdefault(name, {})
+
+
 def fixed_points(g, region=None, grid=NEWTON_GRID):
-    """Isolated fixed points of g inside the region.  Identity germs have no
-    isolated fixed points and return the empty list."""
+    """Isolated fixed points of g inside the region, as a new list.  Identity
+    germs have no isolated fixed points and return the empty list.  Each map
+    searches a region, told apart by its exact defining numbers, once."""
     region = region or g.domain
+    memo = _memo(g, "_fixed_points")
+    key = (type(region), *vars(region).values(), grid)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = _find_fixed_points(g, region, grid)
+    return list(hit)
+
+
+def _find_fixed_points(g, region, grid):
     if g.is_identity_germ():
         return []
     if isinstance(g, AffineMap):
@@ -515,8 +531,16 @@ def _newton_fixed_points(g, region, grid):
 
 
 def _fix_jet(g, z0, order):
-    """Jet of g(z) - z at z0."""
-    return Jet1(z0, g.jet_at(z0, order).coeffs - identity_jet(z0, order).coeffs)
+    """Jet of g(z) - z at z0, computed once per map, point and order."""
+    memo = _memo(g, "_fix_jets")
+    w = complex(z0)
+    key = (w.real.hex(), w.imag.hex(), order)  # exact, signed zeros apart
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = Jet1(
+            z0, g.jet_at(z0, order).coeffs - identity_jet(z0, order).coeffs
+        )
+    return hit
 
 
 class Automorphism:

@@ -4,12 +4,13 @@ Cells are axis-aligned rectangles carrying a tensor Gauss-Legendre rule of
 order 8.  A cell is accepted when the sum over its four children agrees with
 the parent value within the cell's share of the global tolerance; otherwise
 the children are refined, down to a depth limit.  Each depth level is
-evaluated in fixed blocks of 64 whole cells, which a field's compiled tape
-runs in reused block-sized rows (see ``fields``); arrays for a whole level
-(up to 10^5 points) lie above glibc's mmap threshold, and faulting them in
-afresh cost more than the arithmetic.  Evaluation and reduction run serially
-in a fixed order, so repeated runs agree bit for bit; across machines floats
-agree within rel 1e-12 / abs 1e-14; all else is exact.
+evaluated in fixed blocks of 64 whole cells, whose points are made per block
+and which a field's compiled tape runs in reused block-sized rows (see
+``fields``); arrays for a whole level (up to 10^5 points) lie above glibc's
+mmap threshold, and faulting them in afresh cost more than the arithmetic.
+Evaluation and reduction run serially in a fixed order, so repeated runs
+agree bit for bit; across machines floats agree within rel 1e-12 / abs
+1e-14; all else is exact.
 """
 
 from __future__ import annotations
@@ -21,12 +22,12 @@ __all__ = ["integrate_rect", "integrate_box", "QuadratureResult", "NonConvergenc
 GL_ORDER = 8
 _nodes, _weights = np.polynomial.legendre.leggauss(GL_ORDER)
 _W2 = np.outer(_weights, _weights)
-_PTS = GL_ORDER * GL_ORDER  # points per cell
-# 4,096 points: a block's complex array, and each row of the tape arena, is
-# 64 KiB, below the 128 KiB mmap threshold.  With the tape (benchmark
-# ``cocycle`` workload, 2-core VM), 16 cells ran 1.35x slower, as numpy's cost
-# per call then outweighs the arithmetic; 256 cells ran no faster and raised
-# peak memory by 9 MB, the arena's rows growing with the block.
+# 64 cells of 64 points: a block's points and values, and each row of the
+# tape arena, are at most 64 KiB, below the 128 KiB mmap threshold.  With the
+# tape (benchmark ``cocycle`` workload, 2-core VM), 16 cells ran 1.35x slower,
+# as numpy's cost per call then outweighs the arithmetic; 256 cells ran no
+# faster and raised peak memory by 9 MB, the arena's rows growing with the
+# block.
 _BLOCK_CELLS = 64
 
 
@@ -55,17 +56,19 @@ def _cell_values(f_xy, cells):
     x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
     cx, cy = 0.5 * (x1 + x0), 0.5 * (y1 + y0)
-    X = cx[:, None, None] + hx[:, None, None] * _nodes[None, :, None]
-    Y = cy[:, None, None] + hy[:, None, None] * _nodes[None, None, :]
-    x = np.broadcast_to(X, (len(cells), GL_ORDER, GL_ORDER)).reshape(-1)
-    y = np.broadcast_to(Y, (len(cells), GL_ORDER, GL_ORDER)).reshape(-1)
-    b = _BLOCK_CELLS * _PTS
+    b = _BLOCK_CELLS
 
-    def block(a):  # a scalar result broadcasts to the block's points
-        v = np.asarray(f_xy(x[a : a + b], y[a : a + b]), dtype=complex)
-        return np.broadcast_to(v, x[a : a + b].shape)
+    def block(a):  # the block's points; a scalar result broadcasts to them
+        c = slice(a, a + b)
+        X = cx[c, None, None] + hx[c, None, None] * _nodes[None, :, None]
+        Y = cy[c, None, None] + hy[c, None, None] * _nodes[None, None, :]
+        shape = (len(X), GL_ORDER, GL_ORDER)
+        x = np.broadcast_to(X, shape).reshape(-1)
+        y = np.broadcast_to(Y, shape).reshape(-1)
+        v = np.asarray(f_xy(x, y), dtype=complex)
+        return np.broadcast_to(v, x.shape)
     # one join per level: blocks freed one by one get trimmed and faulted back
-    vals = np.concatenate([block(a) for a in range(0, len(x), b)])
+    vals = np.concatenate([block(a) for a in range(0, len(cells), b)])
     vals = vals.reshape(len(cells), GL_ORDER, GL_ORDER)
     return (hx * hy) * np.einsum("nij,ij->n", vals, _W2)
 

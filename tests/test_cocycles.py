@@ -1,5 +1,7 @@
 """Localized trace: closed forms, trace property, transport, coboundaries."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -154,6 +156,32 @@ class TestHigherOrder:
         base = phi_trace(x).value
         for pad in (1, 2):
             assert abs(phi_trace(x, pad=pad).value - base) < 1e-10
+
+    def test_fixed_points_and_jets_found_once_per_map(self, monkeypatch):
+        def element():
+            act, g = poly_action([0.0, 1.0, 0.5, 0.25])
+            f = rand_coeff(np.random.default_rng(7), 0.0, 0.2, 0.35)
+            return single0(act, g, f).add(single0(act, act.compose(g, g), f))
+
+        # each pad on an element of its own, whose maps have cached nothing
+        want = [phi_trace(element(), pad=pad).value for pad in (0, 1, 2)]
+        searches, jets = Counter(), Counter()
+        find, jet_at = G._find_fixed_points, G.ConformalMap.jet_at
+
+        def counted_find(g, region, grid):
+            searches[id(g), repr(region)] += 1
+            return find(g, region, grid)
+
+        def counted_jet_at(g, z0, order):
+            jets[id(g), complex(z0), order] += 1
+            return jet_at(g, z0, order)
+
+        monkeypatch.setattr(G, "_find_fixed_points", counted_find)
+        monkeypatch.setattr(G.ConformalMap, "jet_at", counted_jet_at)
+        x = element()
+        assert [phi_trace(x, pad=pad).value for pad in (0, 1, 2)] == want
+        assert len(searches) == 2 and set(searches.values()) == {1}
+        assert jets and set(jets.values()) == {1}
 
     def test_plateau_error_when_not_flat(self):
         act, g = poly_action([0.0, 2.0])

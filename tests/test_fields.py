@@ -275,6 +275,8 @@ TAPE_TREES = {
                           "(log (+ (c 2 0) (* z zbar)))))",
     "compose": "(compose (deriv 1 1 (* (pow zbar 2) (bump 0.1 0 0.2 0.45))) "
                "(* (+ z (c 0.05 0)) (recip (+ (c 1 0) (* (c 0.3 0) z)))))",
+    # the quotient takes -1 and x, while the domain check reads -x
+    "recip-neg": "(recip (neg (+ z (c 2 0))))",
 }
 
 
@@ -339,3 +341,68 @@ def test_tape_built_once_and_arena_bounded():
         F.eval_field(f, batch.reshape(111, 111))
     assert f.tape is tape
     assert F._ARENA.buf.shape == shape
+
+
+# one tree per exact rewrite of the recorder: the tape still gives the
+# interpreter's values, with fewer instructions than recorded without it
+REWRITE_TREES = {
+    # a composed derivative that vanishes identically is the constant 0
+    "x+0": "(+ (* z zbar) (compose (deriv 1 0 zbar) z))",
+    "0+x": "(+ (compose (deriv 1 0 zbar) z) (* z zbar))",
+    "x-0": "(* zbar (bump 0 0 0.2 0.45 (* z z)))",
+    "x/1": "(deriv 1 0 (bump 0.1 0 0.2 0.45))",
+    "x*-1": "(* zbar (neg z))",
+    "--x": "(+ zbar (neg (neg (* z z))))",
+    "a+-b": "(+ (* z z) (neg zbar))",
+    "-a+b": "(+ (neg (* z z)) zbar)",
+    "c*-x": "(* (c 0.5 0.25) (neg (* z zbar)))",
+}
+
+
+@pytest.mark.parametrize("block", ["mixed", "no-annulus"])
+@pytest.mark.parametrize("name", sorted(REWRITE_TREES))
+def test_rewritten_tape_matches_interpreter(name, block, monkeypatch):
+    z = _tape_blocks()[block]
+    f = F.field_from_sexp(REWRITE_TREES[name])
+    want = F.eval_field(f, z)
+    assert np.array_equal(F.eval_field(f, z), want)
+    rewritten = [ins[0] for ins in f.tape.code]
+    monkeypatch.setattr(F._Recorder, "_exact", lambda self, ufunc, srcs, dtype: None)
+    recorded = [ins[0] for ins in F._Tape(f.expr).code]
+    if name == "x*-1":  # a negation takes the product's place
+        assert rewritten.count(np.multiply) < recorded.count(np.multiply)
+        assert len(rewritten) == len(recorded)
+    else:
+        assert len(rewritten) < len(recorded)
+
+
+def test_recorder_absorbs_negated_subtrahends_and_divisors():
+    # the jet rules subtract only constants, and divide a constant only by a
+    # value whose domain check keeps it: these two are checked on their own
+    rec = F._Recorder()
+    z = F._Reg(rec, 0, np.dtype(complex))
+    w = z * z
+    assert z - (-w) is np.add(z, w)
+    q = 2.0 / (-w)
+    kernel, out, srcs, _ = rec.code[-1]
+    assert out is q and kernel is np.divide and srcs[0].value == -2.0 and srcs[1] is w
+    live = F._Tape._live(rec.code, q)
+    assert [ins[0] for ins in live] == [np.multiply, np.divide]
+
+
+@pytest.mark.parametrize("c0, raises", [
+    ([0j], True),
+    ([complex(-0.0, -0.0)], True),
+    ([1.0, 2j, 0j, -3.0], True),
+    ([5e-324], False),
+    ([1e-300j], False),
+    ([complex(math.inf, 0.0)], False),
+    ([complex(math.nan, 0.0)], False),
+])
+def test_nonvanishing(c0, raises):
+    c0 = np.array(c0, dtype=complex)
+    if raises:
+        with pytest.raises(F.FieldDomainError, match="vanishing"):
+            F._nonvanishing(c0, "vanishing")
+    else:
+        F._nonvanishing(c0, "vanishing")
