@@ -55,12 +55,10 @@ from .tensoralg import (
     CertificateError,
     GroupCocycle1,
     Tau0,
-    collapse,
     crossed_max_abs,
     lift_idempotent,
     lift_invertible,
     nat_key,
-    rho_star,
     universal_d,
 )
 

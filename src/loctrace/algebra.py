@@ -327,16 +327,6 @@ class CrossedForm:
                 put(key, mat_wedge_mul(m1, pulled))
         return self._like(terms, scalar, dropped)
 
-    def trace_entries(self):
-        """Diagonal sum per key, as one FormCoefficient each."""
-        out = {}
-        for key, mat in self.terms.items():
-            acc = FormCoefficient.zero()
-            for i in range(self.size):
-                acc = acc.add(mat[i][i])
-            out[key] = acc
-        return out
-
     def sample_value(self, key, z, p=0, q=0):
         """Matrix of slot values at a point, for tests; the constant part
         shows at the unit label only, never at a word."""

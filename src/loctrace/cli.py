@@ -215,6 +215,8 @@ def _cmd_pair_odd(scn, args):
         if cname not in scn.collapse:
             raise CF.ConfigError(f"pair_odd.collapse: {cname!r} is not declared")
         psi = scn.collapse[cname]
+        if psi.kind != "cocycle1":
+            raise CF.ConfigError(f"pair_odd.collapse: {cname!r} is not a 1-cocycle")
     res = P.pair_odd(
         entry["element"],
         scn.truncation,
@@ -629,6 +631,7 @@ _ERRORS = (
     C.PlateauError,
     F.FieldDomainError,
     F.UnsupportedOrderError,
+    G.FixedPointClusterError,
     T.CertificateError,
     P.InternalConsistencyError,
 )

@@ -426,9 +426,6 @@ class Node:
             memo[key] = hit
         return hit
 
-    def children(self):
-        return ()
-
 
 class Const(Node):
     __slots__ = ("value",)
@@ -490,9 +487,6 @@ class Add(Node):
     def _subst(self, zr, zbr, memo):
         return Add([t.subst(zr, zbr, memo) for t in self.terms])
 
-    def children(self):
-        return self.terms
-
 
 class Mul(Node):
     __slots__ = ("a", "b")
@@ -507,9 +501,6 @@ class Mul(Node):
     def _subst(self, zr, zbr, memo):
         return Mul(self.a.subst(zr, zbr, memo), self.b.subst(zr, zbr, memo))
 
-    def children(self):
-        return (self.a, self.b)
-
 
 class Neg(Node):
     __slots__ = ("a",)
@@ -522,9 +513,6 @@ class Neg(Node):
 
     def _subst(self, zr, zbr, memo):
         return Neg(self.a.subst(zr, zbr, memo))
-
-    def children(self):
-        return (self.a,)
 
 
 class IntPow(Node):
@@ -542,9 +530,6 @@ class IntPow(Node):
     def _subst(self, zr, zbr, memo):
         return IntPow(self.a.subst(zr, zbr, memo), self.n)
 
-    def children(self):
-        return (self.a,)
-
 
 class Recip(Node):
     __slots__ = ("a",)
@@ -557,9 +542,6 @@ class Recip(Node):
 
     def _subst(self, zr, zbr, memo):
         return Recip(self.a.subst(zr, zbr, memo))
-
-    def children(self):
-        return (self.a,)
 
 
 class Log(Node):
@@ -574,9 +556,6 @@ class Log(Node):
     def _subst(self, zr, zbr, memo):
         return Log(self.a.subst(zr, zbr, memo))
 
-    def children(self):
-        return (self.a,)
-
 
 class Conj(Node):
     __slots__ = ("a",)
@@ -589,9 +568,6 @@ class Conj(Node):
 
     def _subst(self, zr, zbr, memo):
         return Conj(self.a.subst(zr, zbr, memo))
-
-    def children(self):
-        return (self.a,)
 
 
 class Deriv(Node):
@@ -624,9 +600,6 @@ class Deriv(Node):
         if not (isinstance(zbr, Conj) and zbr.a is zr):
             raise ValueError("substitution must send zbar to the conjugate of the z image")
         return Compose(self, zr)
-
-    def children(self):
-        return (self.a,)
 
 
 class Compose(Node):
@@ -665,9 +638,6 @@ class Compose(Node):
     def _subst(self, zr, zbr, memo):
         return Compose(self.sub, self.inner.subst(zr, zbr, memo))
 
-    def children(self):
-        return (self.sub, self.inner)
-
 
 class Bump(Node):
     __slots__ = ("inner", "center", "r_pl", "r_sup")
@@ -690,9 +660,6 @@ class Bump(Node):
 
     def _subst(self, zr, zbr, memo):
         return Bump(self.inner.subst(zr, zbr, memo), self.center, self.r_pl, self.r_sup)
-
-    def children(self):
-        return (self.inner,)
 
 
 # ---------------------------------------------------------------------------
@@ -1081,12 +1048,12 @@ class _Recorder(EvalCtx):
     """Evaluation context whose values are registers; ``code`` collects
     (kernel, output, inputs, pure) instructions."""
 
-    __slots__ = ("code", "consts", "seen", "nregs")
+    __slots__ = ("code", "nconsts", "seen", "nregs")
 
     def __init__(self):
         super().__init__(None)
         self.code = []
-        self.consts = []
+        self.nconsts = 0  # constants are registers -1, -2, ...
         self.seen = {}
         self.nregs = 1  # register 0 is the batch of points
 
@@ -1094,9 +1061,9 @@ class _Recorder(EvalCtx):
         key = ("const", type(value).__name__, repr(value))
         hit = self.seen.get(key)
         if hit is None:
-            self.consts.append(value)
+            self.nconsts += 1
             dtype = np.asarray(value).dtype
-            hit = self.seen[key] = _Reg(self, -len(self.consts), dtype, value)
+            hit = self.seen[key] = _Reg(self, -self.nconsts, dtype, value)
         return hit
 
     def emit(self, kernel, args, dtype=_DTYPES[0], pure=True):
@@ -1210,16 +1177,21 @@ class _Tape:
                     heapq.heappush(free, row[r.id])
             placed.append((kernel, out, srcs))
 
+        # a rewrite can leave a recorded constant unread: only read ones are kept
+        consts = {r.id: r.value for r in (res, *(r for ins in code for r in ins[2]))
+                  if r.value is not None}
+        slot = {rid: k for k, rid in enumerate(sorted(consts, reverse=True))}
+
         def index(r):
             if r.value is not None:  # constants follow the rows of every dtype
-                return 3 * self.nrows - r.id
+                return 1 + 3 * self.nrows + slot[r.id]
             if r.id == 0:
                 return 0
             return 1 + _DTYPES.index(r.dtype) * self.nrows + row[r.id]
 
         self.code = [(kernel, index(out) if out.id in row else 0,
                       tuple(index(r) for r in srcs)) for kernel, out, srcs in placed]
-        self.consts = rec.consts
+        self.consts = [consts[rid] for rid in slot]
         self.result = index(res)
 
     def _grow(self):

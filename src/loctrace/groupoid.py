@@ -14,8 +14,9 @@ tree's Taylor expansion there (fields.jet2_at); there is no second jet engine.
 Fixed points of a map inside a search region are isolated zeros of g(z) - z;
 at each one the local order n is the valuation of the jet of g(z) - z.  A root
 finder splits a zero of order n >= 2 into a cluster of nearby candidates; such
-a cluster comes back as one point, polished to full accuracy.  The identity
-germ is order infinity and is kept separate from the isolated case.
+a cluster comes back as one point, polished to full accuracy; a cluster that
+does not merge raises FixedPointClusterError.  The identity germ is order
+infinity and is kept separate from the isolated case.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ __all__ = [
     "ChainMap",
     "compose_maps",
     "fixed_points",
+    "FixedPointClusterError",
     "automorphism_order",
     "Automorphism",
     "GroupLabel",
@@ -425,10 +427,20 @@ def _memo(g, name):
     return g.__dict__.setdefault(name, {})
 
 
+class FixedPointClusterError(Exception):
+    """Candidate fixed points closer than the cluster radius do not merge
+    into one multiple fixed point inside the region."""
+
+
 def fixed_points(g, region=None, grid=NEWTON_GRID):
     """Isolated fixed points of g inside the region, as a new list.  Identity
     germs have no isolated fixed points and return the empty list.  Each map
-    searches a region, told apart by its exact defining numbers, once."""
+    searches a region, told apart by its exact defining numbers, once.
+
+    Candidates within FIXPOINT_CLUSTER of each other are taken for one
+    multiple fixed point that rounding split.  When they do not merge into one
+    point of that multiplicity inside the region, the points are too close for
+    the simple-point formula and FixedPointClusterError is raised."""
     region = region or g.domain
     memo = _memo(g, "_fixed_points")
     key = (type(region), *vars(region).values(), grid)
@@ -465,16 +477,18 @@ def _find_fixed_points(g, region, grid):
     else:
         cands = _newton_fixed_points(g, region, grid)
     inside = [complex(p) for p in cands if bool(np.all(region.contains(p)))]
-    pts, out, tried = _dedupe(inside), [], set()
+    pts, out = _dedupe(inside), []
     while pts:
         near = [p for p in pts if abs(p - pts[0]) <= FIXPOINT_CLUSTER]
-        hit = None if len(near) < 2 or pts[0] in tried else _merge_multiple(g, near)
+        # a lone candidate is its own point, covering only itself
+        hit = (pts[0], 0.0) if len(near) < 2 else _merge_multiple(g, near)
         if hit is None or not bool(np.all(region.contains(hit[0]))):
-            tried.update(near)
-            out.append(pts.pop(0))
-        else:
-            out.append(hit[0])
-            pts = [p for p in pts if abs(p - hit[0]) > hit[1]]
+            raise FixedPointClusterError(
+                f"{len(near)} fixed points within {FIXPOINT_CLUSTER:g} of {pts[0]:.6g} "
+                "do not merge into one multiple fixed point"
+            )
+        out.append(hit[0])
+        pts = [p for p in pts if abs(p - hit[0]) > hit[1]]
     return out
 
 

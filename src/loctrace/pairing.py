@@ -29,6 +29,7 @@ from .cocycles import (
 from .groupoid import automorphism_order, fixed_points, trivial_action
 from .quadrature import NonConvergenceError, integrate_box
 from .tensoralg import (
+    Tau0,
     TruncatedSeries,
     UniversalOneForm,
     lift_idempotent,
@@ -101,6 +102,8 @@ def pair_even(
     pushes the same combination through the multiplication map first, where
     it is exact: the trace part dies (the trace ignores identity germs) and
     the integral part becomes the unit-label integral over e nabla e nabla e.
+    The naive collapse of the word table, ``collapsed_truncated``, is
+    ``Tau0`` of it.
     """
     act = e.action
     e_til = lift_idempotent(e, cap)
@@ -123,18 +126,13 @@ def pair_even(
     direct = integrate_units(e.mul(e_nab).mul(e_nab), tol, max_depth)
     collapsed = -direct.value / TWO_PI_I
 
-    naive = 0.0 + 0.0j
-    for w, v in values.items():
-        if word_mu(act, w).cmap.is_identity_germ():
-            naive += complex(v)
-
     breakdown = {
         "phi_part": dict(phi_part),
         "integral_part": dict(int_part),
         "est_error": est + direct.est_error,
         "dropped": prod.dropped,
     }
-    return PairingResult(rep, collapsed, naive, breakdown)
+    return PairingResult(rep, collapsed, Tau0().of(rep), breakdown)
 
 
 def pair_odd(
@@ -153,7 +151,11 @@ def pair_odd(
             / (2 (2 pi i)^(3/2)).
     Marked words are rotated into quotient representatives after evaluation;
     the evaluating functionals are traces, so the rotation only re-keys.
+    The collapsed number is psi of the one-form word table; psi must be a
+    group 1-cocycle, else ValueError.
     """
+    if psi is not None and psi.kind != "cocycle1":
+        raise ValueError("one-form representatives collapse through a 1-cocycle")
     act = u.action
     u_hat, u_inv = lift_invertible(u, cap, certificate)
     du = universal_d(u_hat)

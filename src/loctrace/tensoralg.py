@@ -5,14 +5,14 @@ completed tensor algebra after the splitting homomorphism has been applied:
 every tensor word of crossed generators is stored by its label word, with the
 convolution product of the letters as coefficient.  This module adds
 
-* the splitting map itself (``rho_star``),
 * canonical lifts of relative invertibles and idempotents, exact inverses
-  resp. idempotents modulo words longer than the cap,
-* numeric word containers for evaluated class representatives
+  resp. idempotents modulo words longer than the cap, built as products of
+  one-letter lifts (``WordCrossedForm.from_crossed``),
+* the universal differential on word-indexed elements,
+* read-only word-value tables for evaluated class representatives
   (``TruncatedSeries`` for plain words, ``UniversalOneForm`` for marked
-  one-form words), which share one base for their linear arithmetic, and the
-  universal differential between them,
-* collapse functionals turning representatives into numbers.
+  one-form words): results that callers only read,
+* collapse functionals turning a table into a number.
 """
 
 import math
@@ -209,43 +209,14 @@ def lift_idempotent(e, cap, tol=1e-10):
     return half.add(c_til.sub(half).mul(series))
 
 
-def rho_star(letters, cap, action=None, size=None):
-    """Splitting homomorphism: a tensor word of crossed generators goes to
-    the convolution product of its letters sitting over the label word.
-
-    Letters are single-label crossed elements (or (label, matrix) pairs).
-    The empty word needs the action and size spelled out.
-    """
-    out = None
-    for letter in letters:
-        if isinstance(letter, CrossedForm):
-            if letter.scalar is not None or len(letter.terms) != 1:
-                raise ValueError("each letter must be a single-label crossed term")
-            w = WordCrossedForm.from_crossed(letter, cap)
-        else:
-            lab, mat = letter
-            w = WordCrossedForm(lab.action, len(mat), cap, {(lab,): mat})
-        out = w if out is None else out.mul(w)
-    if out is None:
-        if action is None or size is None:
-            raise ValueError("empty word needs an explicit action and size")
-        return WordCrossedForm.unit(action, size, cap)
-    return out
-
-
 # ---------------------------------------------------------------------------
-# numeric word containers
-
-
-def _word_sort(w):
-    return (len(w), tuple(l.index for l in w))
+# evaluated word values
 
 
 class _WordMatrices:
     """Constant matrices keyed by words, truncated by word length: the
-    arithmetic both numeric word containers share.  Each subclass says how a
-    key is stored and how long it is (``_entry``), how keys sort
-    (``_order``) and how a key is written out (``_layout``)."""
+    read-only values of a class representative evaluated wordwise.  Each
+    subclass says how a key is stored and how long it is (``_entry``)."""
 
     def __init__(self, action, size, cap, terms=None, dropped=0):
         self.action = action
@@ -263,39 +234,6 @@ class _WordMatrices:
                 if np.any(m != 0):
                     self.terms[key] = m
 
-    def _like(self, terms, dropped):
-        return type(self)(self.action, self.size, self.cap, terms, dropped)
-
-    def add(self, other):
-        out = dict(self.terms)
-        for k, m in other.terms.items():
-            out[k] = out[k] + m if k in out else m
-        return self._like(out, self.dropped + other.dropped)
-
-    def scale(self, s):
-        return self._like({k: m * s for k, m in self.terms.items()}, self.dropped)
-
-    def neg(self):
-        return self.scale(-1.0)
-
-    def sub(self, other):
-        return self.add(other.neg())
-
-    def sorted_keys(self):
-        return sorted(self.terms.keys(), key=self._order)
-
-    def to_jsonable(self):
-        out = []
-        for k in self.sorted_keys():
-            m = self.terms[k]
-            out.append(
-                dict(
-                    self._layout(k),
-                    matrix=[[[v.real, v.imag] for v in row] for row in m],
-                )
-            )
-        return out
-
     def __repr__(self):
         return (
             f"{type(self).__name__}(size={self.size}, cap={self.cap}, "
@@ -305,38 +243,11 @@ class _WordMatrices:
 
 class TruncatedSeries(_WordMatrices):
     """Words of group labels with constant matrix coefficients, truncated by
-    word length.  The unit is the empty word with the identity matrix."""
+    word length."""
 
     @staticmethod
     def _entry(w):
         return tuple(w), len(w)
-
-    @staticmethod
-    def _order(w):
-        return _word_sort(w)
-
-    @staticmethod
-    def _layout(w):
-        return {"word": [l.name for l in w]}
-
-    @staticmethod
-    def unit(action, size, cap):
-        return TruncatedSeries(
-            action, size, cap, {(): np.eye(size, dtype=complex)}
-        )
-
-    def mul(self, other):
-        terms = {}
-        dropped = self.dropped + other.dropped
-        for w1, m1 in self.terms.items():
-            for w2, m2 in other.terms.items():
-                if len(w1) + len(w2) > self.cap:
-                    dropped += 1
-                    continue
-                w = w1 + w2
-                m = m1 @ m2
-                terms[w] = terms[w] + m if w in terms else m
-        return TruncatedSeries(self.action, self.size, self.cap, terms, dropped)
 
 
 def nat_key(dkey):
@@ -356,42 +267,24 @@ class UniversalOneForm(_WordMatrices):
         w, b = key
         return (tuple(w), b), len(w) + 1
 
-    @staticmethod
-    def _order(key):
-        return (_word_sort(key[0]), key[1].index)
-
-    @staticmethod
-    def _layout(key):
-        w, b = key
-        return {"word": [l.name for l in w], "dletter": b.name}
-
 
 def universal_d(x):
-    """Universal differential by the Leibniz rule over tensor words.
+    """Universal differential of a word-indexed crossed element, by the
+    Leibniz rule over tensor words.
 
-    On numeric series the result is a ``UniversalOneForm`` in rotated form.
-    On word-indexed crossed elements each plain word splits into marked
-    words; the coefficient stays attached to the whole word and the rotation
-    is deferred until after evaluation (the evaluating functionals are
-    traces, so rotation only re-keys their values).
+    Each plain word splits into marked words; the coefficient stays attached
+    to the whole word and the rotation is deferred until after evaluation
+    (the evaluating functionals are traces, so rotation only re-keys their
+    values).
     """
-    if isinstance(x, TruncatedSeries):
-        terms = {}
-        for w, m in x.terms.items():
-            for i, b in enumerate(w):
-                key = (w[i + 1 :] + w[:i], b)
-                terms[key] = terms[key] + m if key in terms else m
-        return UniversalOneForm(x.action, x.size, x.cap, terms, x.dropped)
-    if isinstance(x, WordCrossedForm):
-        terms = {}
-        for key, mat in x.terms.items():
-            if isinstance(key, DWord):
-                raise ValueError("already a one-form word")
-            for i in range(len(key)):
-                dk = DWord(key[:i], key[i], key[i + 1 :])
-                terms[dk] = mat if dk not in terms else mat_add(terms[dk], mat)
-        return WordCrossedForm(x.action, x.size, x.cap, terms, None, x.dropped)
-    raise TypeError(f"universal_d does not apply to {type(x).__name__}")
+    terms = {}
+    for key, mat in x.terms.items():
+        if isinstance(key, DWord):
+            raise ValueError("already a one-form word")
+        for i in range(len(key)):
+            dk = DWord(key[:i], key[i], key[i + 1 :])
+            terms[dk] = mat if dk not in terms else mat_add(terms[dk], mat)
+    return WordCrossedForm(x.action, x.size, x.cap, terms, None, x.dropped)
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +292,9 @@ def universal_d(x):
 
 
 class Tau0:
-    """Trace functional: push words through the multiplication map and read
-    the matrix trace of everything landing on the unit label."""
+    """Trace functional on a ``TruncatedSeries``: push words through the
+    multiplication map and read the matrix trace of everything landing on the
+    unit label."""
 
     kind = "tau0"
 
@@ -413,7 +307,8 @@ class Tau0:
 
 
 class GroupCocycle1:
-    """Additive group 1-cocycle pairing against one-form words.
+    """Additive group 1-cocycle pairing against the one-form words of a
+    ``UniversalOneForm``.
 
     The weight c is additive on products; it comes either from per-generator
     weights on a free action (extended by exponent sums) or from an explicit
@@ -460,17 +355,3 @@ class GroupCocycle1:
             if lab.cmap.is_identity_germ():
                 total += np.trace(m) * self.value(b)
         return complex(total)
-
-
-def collapse(x, phi):
-    """Pair an evaluated representative with a collapse functional of the
-    matching parity."""
-    if isinstance(x, TruncatedSeries):
-        if phi.kind != "tau0":
-            raise ValueError("even representatives collapse through Tau0")
-        return phi.of(x)
-    if isinstance(x, UniversalOneForm):
-        if phi.kind != "cocycle1":
-            raise ValueError("one-form representatives collapse through a 1-cocycle")
-        return phi.of(x)
-    raise TypeError(f"cannot collapse {type(x).__name__}")

@@ -119,16 +119,6 @@ class TestConvolution:
             rhs = x.mul(y.mul(w))
             assert crossed_max_abs(lhs.sub(rhs)) < 1e-11
 
-    def test_trace_entries(self):
-        act = std_mobius_action()
-        rng = np.random.default_rng(5)
-        x = rand_crossed(rng, act, ["a", "1"], size=2)
-        tr = x.trace_entries()
-        lab = act.by_name("a")
-        z = 0.1 + 0.02j
-        got = F.eval_field(tr[lab].get(0, 0), z)
-        assert abs(got - x.sample_value(lab, z).trace()) < 1e-12
-
 
 class TestFormCoefficient:
     def test_wedge_degree_addition_and_sign(self):

@@ -222,6 +222,33 @@ def test_numerical_failure_exits_two(command, fixture, tmp_path, capsys):
     assert err.startswith("error: ") and "did not converge" in err
 
 
+def _close_roots(scn):
+    # g(z) - z = (z - 0.1)(z - 0.1001)(z + 0.2): two simple roots 1e-4 apart
+    c = [0.002002, 1.0 - 0.03001, -0.0001, 1.0]
+    gens = {"a": {"kind": "poly", "coeffs": c}}
+    scn["group"] = {"kind": "free", "generators": gens, "domain": scn["group"]["domain"]}
+
+
+def _tau0_for_odd(scn):
+    scn["collapse"]["psi"] = {"kind": "tau0"}
+
+
+@pytest.mark.parametrize("command, fixture, mutate, message", [
+    ("trace", "dilation2.json", _close_roots, "do not merge into one multiple fixed point"),
+    ("pair-odd", "odd.json", _tau0_for_odd, "pair_odd.collapse: 'psi' is not a 1-cocycle"),
+])
+def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path, capsys):
+    scn = json.loads((FIXTURES / fixture).read_text())
+    mutate(scn)
+    p = tmp_path / fixture
+    p.write_text(json.dumps(scn))
+    out = tmp_path / "report.json"
+    assert main([command, str(p), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
 def test_flag_overrides_apply(tmp_path):
     out = tmp_path / "report.json"
     code, report = run_cli(

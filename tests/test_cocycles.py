@@ -266,6 +266,42 @@ class TestSplitMultipleFixedPoints:
         assert abs(got.value - (-(5.0 * c1 + 5.25 * c0))) < 1e-9
 
 
+def _fixed_roots_action(roots):
+    """Polynomial germ with g(z) - z = prod (z - r) over the roots."""
+    c = np.polynomial.polynomial.polyfromroots(roots).astype(complex)
+    c[1] += 1.0
+    return poly_action(list(c))
+
+
+def _chain_action():
+    """m o p with m = z / (1e-9 z + 1) and p = z + z^4."""
+    act = G.FreeGeneratorsAction(
+        {"p": G.PolyMap([0.0, 1.0, 0.0, 0.0, 1.0]),
+         "m": G.MobiusMap([[1.0, 0.0], [1e-9, 1.0]])},
+        F.Disk(0.0, 0.6),
+    )
+    mp = act.compose(act.generator("m"), act.generator("p"))
+    assert isinstance(mp.cmap, G.ChainMap)
+    return act, mp
+
+
+class TestUnmergedClusterRaises:
+    """Candidates that stay apart inside one cluster are too close for the
+    simple-point formula: the trace refuses them instead of summing them."""
+
+    @pytest.mark.parametrize("make, coeff", [
+        (lambda: _fixed_roots_action([0.1, 0.1, 0.1005]),
+         _quadratic_window((0.7 - 0.2j, 1.3, 0.4 + 0.1j))),
+        (lambda: _fixed_roots_action([0.1, 0.1, 0.1005]), _quadratic_window((1.0, 0.0, 0.0))),
+        (_chain_action, _quadratic_window((1.0, 0.0, 0.0))),
+        (lambda: _fixed_roots_action([0.1, 0.1001, -0.2]), _quadratic_window((1.0, 0.0, 0.0))),
+    ], ids=["double-and-simple", "double-and-simple-bump", "chain", "close-simple-roots"])
+    def test_phi_trace_raises(self, make, coeff):
+        act, g = make()
+        with pytest.raises(G.FixedPointClusterError, match="do not merge"):
+            phi_trace(single0(act, g, coeff))
+
+
 class TestTraceProperty:
     def test_commutator_sample(self):
         act = std_mobius_action()

@@ -376,6 +376,17 @@ def test_rewritten_tape_matches_interpreter(name, block, monkeypatch):
         assert len(rewritten) < len(recorded)
 
 
+@pytest.mark.parametrize("sexp", [*TAPE_TREES.values(), *REWRITE_TREES.values()],
+                         ids=[*TAPE_TREES, *REWRITE_TREES])
+def test_tape_constants_are_all_read(sexp):
+    # a rewrite such as x * -1 -> -x must not leave its -1 among the operands
+    tape = F._Tape(F.field_from_sexp(sexp).expr)
+    first = 1 + 3 * tape.nrows  # constants follow the rows
+    read = {i for _, _, srcs in tape.code for i in srcs if i >= first}
+    read |= {tape.result} if tape.result >= first else set()
+    assert read == set(range(first, first + len(tape.consts)))
+
+
 def test_recorder_absorbs_negated_subtrahends_and_divisors():
     # the jet rules subtract only constants, and divide a constant only by a
     # value whose domain check keeps it: these two are checked on their own

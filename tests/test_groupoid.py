@@ -209,7 +209,10 @@ def _tree_nodes(tree):
         n = stack.pop()
         if id(n) not in seen:
             seen[id(n)] = n
-            stack.extend(n.children())
+            for slot in type(n).__slots__:
+                v = getattr(n, slot)
+                stack.extend(c for c in (v if isinstance(v, tuple) else (v,))
+                             if isinstance(c, F.Node))
     return list(seen.values())
 
 

@@ -6,6 +6,7 @@ import pytest
 from loctrace import fields as F
 from loctrace import groupoid as G
 from loctrace.algebra import CrossedForm, DWord, WordCrossedForm, fc_field
+from loctrace.pairing import pair_odd
 from loctrace.tensoralg import (
     CertificateError,
     GroupCocycle1,
@@ -15,12 +16,10 @@ from loctrace.tensoralg import (
     check_idempotent,
     check_inverse,
     check_nilpotent,
-    collapse,
     crossed_max_abs,
     lift_idempotent,
     lift_invertible,
     nat_key,
-    rho_star,
     universal_d,
 )
 
@@ -171,62 +170,6 @@ class TestLiftIdempotent:
         assert np.allclose(eh.scalar, e.scalar)
 
 
-class TestRhoStar:
-    def test_single_letters_and_product(self):
-        act = std_mobius_action()
-        rng = np.random.default_rng(6)
-        fa, fb = rand_coeff(rng), rand_coeff(rng)
-        la = CrossedForm.single(act, act.by_name("a"), [[fc_field(fa)]])
-        lb = CrossedForm.single(act, act.by_name("b"), [[fc_field(fb)]])
-        cap = 4
-        w = rho_star([la, lb], cap)
-        assert w.sorted_keys() == [(act.by_name("a"), act.by_name("b"))]
-        # splitting is a homomorphism against word concatenation
-        wa = rho_star([la], cap)
-        wb = rho_star([lb], cap)
-        assert crossed_max_abs(w.sub(wa.mul(wb))) < 1e-12
-
-    def test_empty_word_is_unit(self):
-        act = std_mobius_action()
-        w = rho_star([], 3, action=act, size=2)
-        one = WordCrossedForm.unit(act, 2, 3)
-        assert_structurally_zero(w.sub(one))
-
-    def test_rejects_multi_label_letters(self):
-        act = std_mobius_action()
-        rng = np.random.default_rng(7)
-        x = rand_crossed(rng, act, ["a", "b"], size=1)
-        with pytest.raises(ValueError):
-            rho_star([x], 3)
-
-
-class TestSeriesContainers:
-    def test_truncated_series_mul_respects_cap(self):
-        act = std_mobius_action()
-        a = act.by_name("a")
-        s = TruncatedSeries(act, 1, 2, {(a,): np.array([[2.0]])})
-        p = s.mul(s)
-        assert p.sorted_keys() == [(a, a)]
-        assert p.mul(s).sorted_keys() == []  # length 3 dropped
-        assert p.mul(s).dropped >= 1
-
-    def test_unit_and_arith(self):
-        act = std_mobius_action()
-        one = TruncatedSeries.unit(act, 2, 3)
-        a = act.by_name("a")
-        s = TruncatedSeries(act, 2, 3, {(a,): np.eye(2) * 3.0})
-        t = s.add(s.neg())
-        assert all(np.allclose(m, 0) for m in t.terms.values()) or not t.terms
-        assert np.allclose(one.mul(s).terms[(a,)], s.terms[(a,)])
-
-    def test_jsonable(self):
-        act = std_mobius_action()
-        a = act.by_name("a")
-        s = TruncatedSeries(act, 1, 2, {(a,): np.array([[1.5 + 0.5j]])})
-        j = s.to_jsonable()
-        assert isinstance(j, (list, dict))
-
-
 class TestNatKey:
     def test_rotation_formula(self):
         act = std_mobius_action()
@@ -262,10 +205,12 @@ class TestCollapseFunctionals:
         ai = act.inverse(a)
         m1 = np.array([[0.0, 2.0], [1.0, 0.0]])
         m2 = np.array([[1.0, 0.0], [3.0, 1.0]])
-        x = TruncatedSeries(act, 2, 4, {(a,): m1})
-        y = TruncatedSeries(act, 2, 4, {(ai,): m2})
+        # the products of the one-letter tables {(a,): m1} and {(a^-1,): m2}
+        xy = TruncatedSeries(act, 2, 4, {(a, ai): m1 @ m2})
+        yx = TruncatedSeries(act, 2, 4, {(ai, a): m2 @ m1})
         t = Tau0()
-        assert abs(t.of(x.mul(y)) - t.of(y.mul(x))) < 1e-13
+        assert t.of(xy) == np.trace(m1 @ m2) != 0
+        assert abs(t.of(xy) - t.of(yx)) < 1e-13
 
     def test_cocycle_weights_additive_on_free_action(self):
         act = G.FreeGeneratorsAction(
@@ -312,17 +257,12 @@ class TestCollapseFunctionals:
 
     def test_collapse_parity_enforced(self):
         act = std_mobius_action()
-        s = TruncatedSeries.unit(act, 1, 2)
-        with pytest.raises(ValueError):
-            collapse(s, GroupCocycle1(weights={}))
-        o = UniversalOneForm(act, 1, 2, {})
-        with pytest.raises(ValueError):
-            collapse(o, Tau0())
-        assert collapse(s, Tau0()) == 1.0  # unit word collapses to the trace of I
-
-    def test_collapse_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            collapse(3.0, Tau0())
+        s = TruncatedSeries(act, 1, 2, {(): np.eye(1)})
+        assert Tau0().of(s) == 1.0  # unit word collapses to the trace of I
+        # one-form tables collapse through a 1-cocycle only
+        u = CrossedForm.unit(act, 2).add(nilpotent_elem(act))
+        with pytest.raises(ValueError, match="1-cocycle"):
+            pair_odd(u, 2, {"kind": "nilpotent"}, psi=Tau0())
 
 
 class TestUniversalD:
