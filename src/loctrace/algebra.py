@@ -99,9 +99,6 @@ class FormCoefficient:
             return FormCoefficient()
         return FormCoefficient({k: fscale(f, s) for k, f in self.comps.items()})
 
-    def neg(self):
-        return FormCoefficient({k: fneg(f) for k, f in self.comps.items()})
-
     def mul_field(self, g):
         """Multiply every slot by a plain scalar field."""
         return FormCoefficient({k: fmul(g, f) for k, f in self.comps.items()})
@@ -517,12 +514,6 @@ class WordCrossedForm(CrossedForm):
             lab = self.label_of(key)
             out[lab] = mat_add(out[lab], mat) if lab in out else mat
         return CrossedForm(self.action, self.size, out, self.scalar)
-
-    def power(self, n):
-        out = WordCrossedForm.unit(self.action, self.size, self.cap)
-        for _ in range(n):
-            out = out.mul(self)
-        return out
 
     def sorted_keys(self):
         return sorted(self.terms.keys(), key=_key_sort)

@@ -81,8 +81,7 @@ def _expect_check(name, value, spec, default_tol=1e-9):
 # subcommands
 
 
-def _cmd_automorphisms(scn, args):
-    section = scn.section("automorphisms") or {}
+def _cmd_automorphisms(scn, section, args):
     region = CF.parse_region(section.get("region"), "automorphisms.region")
     region = region or scn.action.domain
     names = section.get("labels")
@@ -118,10 +117,7 @@ def _serialize_breakdown(breakdown):
     ]
 
 
-def _cmd_trace(scn, args):
-    section = scn.section("trace")
-    if not section:
-        raise CF.ConfigError("trace: missing section")
+def _cmd_trace(scn, section, args):
     x = scn.element(section["element"], "trace.element")
     region = CF.parse_region(section.get("region"), "trace.region")
     pad = int(section.get("pad", 0))
@@ -137,10 +133,7 @@ def _cmd_trace(scn, args):
     return payload, checks
 
 
-def _cmd_todd(scn, args):
-    section = scn.section("todd")
-    if not section:
-        raise CF.ConfigError("todd: missing section")
+def _cmd_todd(scn, section, args):
     a0, a1, a2 = (scn.element(n, "todd.args") for n in section["args"])
     kw = dict(tol=scn.tol, max_depth=scn.depth)
     defect, direct, fc, c1 = C.todd_dual_defect(a0, a1, a2, **kw)
@@ -165,10 +158,7 @@ def _kt_entry(scn, name, kind, path):
     return entry
 
 
-def _cmd_pair_even(scn, args):
-    section = scn.section("pair_even")
-    if not section:
-        raise CF.ConfigError("pair_even: missing section")
+def _cmd_pair_even(scn, section, args):
     entry = _kt_entry(scn, section["idempotent"], "idempotent", "pair_even.idempotent")
     res = P.pair_even(
         entry["element"],
@@ -204,10 +194,7 @@ def _cmd_pair_even(scn, args):
     return payload, checks
 
 
-def _cmd_pair_odd(scn, args):
-    section = scn.section("pair_odd")
-    if not section:
-        raise CF.ConfigError("pair_odd: missing section")
+def _cmd_pair_odd(scn, section, args):
     entry = _kt_entry(scn, section["invertible"], "invertible", "pair_odd.invertible")
     psi = None
     if "collapse" in section:
@@ -265,10 +252,7 @@ def _nat_order(nk):
     return (len(nk[0]), _word_names(nk[0]), nk[1].name)
 
 
-def _cmd_anomaly(scn, args):
-    section = scn.section("anomaly")
-    if not section:
-        raise CF.ConfigError("anomaly: missing section")
+def _cmd_anomaly(scn, section, args):
     a_el = scn.element(section["a"], "anomaly.a")
     om_el = scn.element(section["omega"], "anomaly.omega")
     cap = scn.truncation
@@ -304,10 +288,7 @@ def _cmd_anomaly(scn, args):
 _DIST_TOLS = {"dolbeault": 1e-5, "covariance": 1e-5, "shift": 1e-8, "pair": 1e-6}
 
 
-def _cmd_dist_check(scn, args):
-    section = scn.section("dist")
-    if not section:
-        raise CF.ConfigError("dist: missing section")
+def _cmd_dist_check(scn, section, args):
     table = []
     checks = []
     for i, spec in enumerate(section):
@@ -548,7 +529,7 @@ def _verify_checks(rng, tol, depth, cap):
     return checks
 
 
-def _cmd_verify(scn, args):
+def _cmd_verify(scn, section, args):
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     tol = args.tol if args.tol is not None else (scn.tol if scn else 1e-6)
@@ -579,15 +560,17 @@ def build_parser():
     return ap
 
 
+# each command's runner and the scenario section it is handed; the section
+# must be there, except that automorphisms has defaults and verify reads none
 _RUNNERS = {
-    "automorphisms": _cmd_automorphisms,
-    "trace": _cmd_trace,
-    "todd": _cmd_todd,
-    "pair-even": _cmd_pair_even,
-    "pair-odd": _cmd_pair_odd,
-    "anomaly": _cmd_anomaly,
-    "dist-check": _cmd_dist_check,
-    "verify": _cmd_verify,
+    "automorphisms": (_cmd_automorphisms, "automorphisms"),
+    "trace": (_cmd_trace, "trace"),
+    "todd": (_cmd_todd, "todd"),
+    "pair-even": (_cmd_pair_even, "pair_even"),
+    "pair-odd": (_cmd_pair_odd, "pair_odd"),
+    "anomaly": (_cmd_anomaly, "anomaly"),
+    "dist-check": (_cmd_dist_check, "dist"),
+    "verify": (_cmd_verify, None),
 }
 
 
@@ -609,7 +592,11 @@ def run(command, scenario_path, args):
     elif command != "verify":
         raise CF.ConfigError(f"{command}: a scenario file is required")
 
-    payload, checks = _RUNNERS[command](scn, args)
+    runner, key = _RUNNERS[command]
+    section = scn.section(key) if key else None
+    if not section and key not in (None, "automorphisms"):
+        raise CF.ConfigError(f"{key}: missing section")
+    payload, checks = runner(scn, section or {}, args)
     report = {
         "schema": 1,
         "command": command,

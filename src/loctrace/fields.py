@@ -24,8 +24,9 @@ common subexpressions do not pay twice; it serves one-shot values and every
 jet.  A field evaluated on a batch of points a second time, as a quadrature
 integrand is block after block, is compiled once into a flat tape: the same
 jet rules recorded at order 0 as numpy operations on registers, run in one
-arena of reused block-sized rows.  Tape and interpreter give the same
-finite values, bit for bit but for the sign of a zero.
+arena of reused block-sized rows.  A jet's keys depend on the tree and the
+order alone, so on every batch tape and interpreter give the same finite
+values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
@@ -229,9 +230,14 @@ def _split_const(a, ctx):
 
 
 def _annulus_met(annulus, K):
-    """Whether any point lies in a cutoff's transition annulus."""
+    """Whether a cutoff's jet takes its profile terms.  Orders 1 to the cap
+    always do, as they are 0 off the annulus, so the jet's keys depend on the
+    tree and the order alone; order 0 and orders past the cap take them only
+    where a point lies in the transition annulus, which past the cap raises."""
+    if 0 < K <= GLUE_ORDER_CAP:
+        return True
     met = bool(np.any(annulus))
-    if met and K > GLUE_ORDER_CAP:
+    if met and K:
         raise UnsupportedOrderError(
             f"jet order {K} exceeds glue cap {GLUE_ORDER_CAP} inside a cutoff annulus"
         )
@@ -395,6 +401,8 @@ class EvalCtx:
         _nonvanishing(c0, message)
 
     def annulus_met(self, annulus, K):
+        """Whether a cutoff jet of order K takes its profile terms: always
+        for 1 <= K <= GLUE_ORDER_CAP, else where a point meets the annulus."""
         return _annulus_met(annulus, K)
 
     def where(self, mask, a, b):
@@ -898,10 +906,7 @@ def eval_field(f, z):
             if f.tape is False:
                 f.tape = _Tape(f.expr)
             zflat = np.asarray(z, dtype=complex).ravel()
-            try:
-                return f.tape.run(zflat).reshape(np.shape(z))
-            except _Fallback:
-                pass
+            return f.tape.run(zflat).reshape(np.shape(z))
     d, _ = _jet_batch(f.expr, z, 0)
     got = d.get((0, 0))
     if got is None:
@@ -942,17 +947,9 @@ def plateau_safe(f, z0):
 # grows to the largest row count and block seen; a row is reused as soon as
 # its register is dead.  A batch runs in blocks of _TAPE_BLOCK points, one
 # quadrature block, so the arena stays small.  Evaluation is serial.
-#
-# Only a cutoff's jet above order 0 has a key set that depends on the points:
-# the tape expects its transition annulus to meet the block, and falls back
-# to the interpreter for a batch where it does not.
 
 _TAPE_BLOCK = 4096
 _DTYPES = (np.dtype(complex), np.dtype(np.float64), np.dtype(np.bool_))
-
-
-class _Fallback(Exception):
-    """The batch needs the interpreter: a cutoff jet lacks its annulus keys."""
 
 
 class _Arena:
@@ -1131,12 +1128,11 @@ class _Recorder(EvalCtx):
         self.emit(partial(_k_nonvanishing, message), (c0,), pure=False)
 
     def annulus_met(self, annulus, K):
-        # order 0 keeps one key either way; the profile adds nothing off the annulus
+        # order 0 has one key either way, and it is the plateau's off the
+        # annulus; past the cap the check raises where a point meets it
         if K > GLUE_ORDER_CAP:
             self.emit(partial(_k_glue_cap, K), (annulus,), pure=False)
             return False
-        if K:
-            self.emit(_k_annulus_met, (annulus,), pure=False)
         return True
 
     def where(self, mask, a, b):
@@ -1252,11 +1248,6 @@ def _k_add_where(base, v, mask, out):
 
 def _k_nonvanishing(message, c0, out):
     _nonvanishing(c0, message)
-
-
-def _k_annulus_met(annulus, out):
-    if not annulus.any():
-        raise _Fallback
 
 
 def _k_glue_cap(K, annulus, out):

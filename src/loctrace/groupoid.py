@@ -642,9 +642,6 @@ class GroupAction:
         self.domain = domain or F.WholePlane()
         self._labels = []
 
-    def labels(self):
-        return tuple(self._labels)
-
     def _new_label(self, key, cmap, name):
         lab = GroupLabel(self, key, cmap, len(self._labels), name)
         self._labels.append(lab)

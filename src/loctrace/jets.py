@@ -41,14 +41,6 @@ class Jet1:
     def order(self):
         return len(self.coeffs) - 1
 
-    def __call__(self, z):
-        # Horner evaluation, mostly for tests.
-        t = z - self.base
-        acc = 0j
-        for c in self.coeffs[::-1]:
-            acc = acc * t + c
-        return acc
-
     def coeff(self, k):
         if k < 0 or k > self.order:
             return 0j
@@ -163,9 +155,6 @@ class Jet2:
         """Pure holomorphic part: the Jet1 with coefficients c_{p,0}."""
         c = np.array([self.coeff(p, 0) for p in range(self.order + 1)], dtype=complex)
         return Jet1(self.base, c)
-
-    def value(self):
-        return self.coeff(0, 0)
 
     def __repr__(self):
         items = ", ".join(

@@ -13,7 +13,6 @@ library routes under test.
 import time
 
 import numpy as np
-import pytest
 
 from loctrace import fields as F
 from loctrace import groupoid as G

@@ -30,7 +30,6 @@ from conftest import (
     kappa_action,
     rand_coeff,
     rand_crossed,
-    rand_form,
     std_mobius_action,
 )
 
@@ -164,7 +163,7 @@ class TestFormCoefficient:
     def test_zero_and_arith(self):
         assert FormCoefficient.zero().is_zero()
         a = FormCoefficient({(0, 0): F.fone()})
-        assert a.add(a.neg()).is_zero() or F.eval_field(a.add(a.neg()).get(0, 0), 0.1) == 0.0
+        assert a.add(a.scale(-1.0)).is_zero() or F.eval_field(a.add(a.scale(-1.0)).get(0, 0), 0.1) == 0.0
         s = a.scale(3j)
         assert F.eval_field(s.get(0, 0), 0.0) == 3j
 
@@ -318,17 +317,6 @@ class TestWordModel:
         p3 = p2.mul(w)  # length 3 exceeds the cap
         assert p3.dropped >= 1
         assert p3.sorted_keys() == []
-
-    def test_power_matches_repeated_mul(self):
-        act = std_mobius_action()
-        rng = np.random.default_rng(44)
-        x = WordCrossedForm.from_crossed(rand_crossed(rng, act, ["a", "b"]), cap=6)
-        p = x.power(3)
-        q = x.mul(x).mul(x)
-        diff = p.sub(q)
-        z = 0.02 + 0.01j
-        for key in set(p.sorted_keys()) | set(q.sorted_keys()):
-            assert np.allclose(diff.sample_value(key, z), 0.0, atol=1e-11)
 
     def test_word_helpers(self):
         act = std_mobius_action()

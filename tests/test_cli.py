@@ -20,7 +20,6 @@ import json
 import math
 import shutil
 import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -247,6 +246,23 @@ def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("command, fixture, key", [
+    ("trace", "dilation2.json", "trace"),
+    ("todd", "todd.json", "todd"),
+    ("pair-even", "bott.json", "pair_even"),
+    ("pair-odd", "odd.json", "pair_odd"),
+    ("anomaly", "anomaly.json", "anomaly"),
+    ("dist-check", "dist.json", "dist"),
+])
+def test_missing_section_exits_two(command, fixture, key, tmp_path, capsys):
+    scn = json.loads((FIXTURES / fixture).read_text())
+    del scn[key]
+    p = tmp_path / fixture
+    p.write_text(json.dumps(scn))
+    assert main([command, str(p)]) == 2
+    assert capsys.readouterr().err == f"error: {key}: missing section\n"
 
 
 def test_flag_overrides_apply(tmp_path):

@@ -25,7 +25,6 @@ from loctrace.cocycles import (
     transport_coordinates,
 )
 from loctrace.quadrature import NonConvergenceError
-from loctrace.tensoralg import crossed_max_abs
 
 from conftest import (
     dilation_action,

@@ -307,6 +307,32 @@ def test_tape_matches_interpreter(name, block):
     assert np.array_equal(F.eval_field(f, z[::-1]), want[::-1])
 
 
+@pytest.mark.parametrize("K", [1, 2])
+@pytest.mark.parametrize("name", sorted(TAPE_TREES))
+def test_jet_keys_do_not_depend_on_the_points(name, K):
+    # a cutoff jet of order 1 to the cap takes its profile terms even where
+    # no point meets its annulus, so one tape serves every batch
+    expr = F.field_from_sexp(TAPE_TREES[name]).expr
+    keys = [list(F._jet_batch(expr, z, K)[0]) for z in _tape_blocks().values()]
+    assert keys[0] == keys[1]
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_TREES))
+def test_taped_field_never_interprets_a_batch(name, monkeypatch):
+    f = F.field_from_sexp(TAPE_TREES[name])
+    blocks = _tape_blocks()
+    want = F.eval_field(f, blocks["no-annulus"])
+    F.eval_field(f, blocks["mixed"])
+    F.eval_field(f, blocks["mixed"])
+    assert f.tape
+
+    def interpret(*args, **kwargs):
+        raise AssertionError("a taped field's batch went to the interpreter")
+
+    monkeypatch.setattr(F, "_jet_batch", interpret)
+    assert np.array_equal(F.eval_field(f, blocks["no-annulus"]), want)
+
+
 @pytest.mark.parametrize("sexp, message", [
     ("(recip (+ z (c -0.5 0)))", "reciprocal of a vanishing field (Recip)"),
     ("(log (* (+ z (c -0.5 0)) (bump 0 0 0.6 0.9)))", "log of a vanishing field (Log)"),

@@ -426,7 +426,10 @@ class TestActions:
         r2 = act.compose(r1, r1)
         assert act.compose(r2, r1) == act.unit
         assert act.inverse(r1) == r2
-        assert len(act.labels()) == 3
+        assert act.by_name("1") == act.unit
+        assert len({act.by_name(n) for n in ("1", "r1", "r2")}) == 3
+        with pytest.raises(KeyError):
+            act.by_name("r3")
 
 
 def test_dedupe_matches_pairwise_loop():

@@ -1,6 +1,8 @@
-"""Package-level hygiene: every name a module exports exists, and every name
-the benchmark's tracer wraps still resolves."""
+"""Package-level hygiene: every name a module exports exists, every name
+the benchmark's tracer wraps still resolves, and no module imports a name it
+never uses."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -44,3 +46,34 @@ def test_benchmark_tracer_sites_resolve():
     missing = [f"{getattr(o, '__name__', o)}.{n}" for o, n in sites if not hasattr(o, n)]
     assert missing == []
     assert all(callable(getattr(o, n)) for o, n in sites)
+
+
+def _unused_imports(path):
+    """Names a module imports and never reads, as ``file:line: name``.  A line
+    marked ``# noqa`` is exempt, and a name listed in ``__all__`` is read."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or "# noqa" in lines[node.lineno - 1]:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            if alias.name != "*":
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    # a package's __init__.py imports in order to re-export, so it is exempt
+    root = Path(__file__).resolve().parents[1]
+    files = [p for d in ("src/loctrace", "tests", "scripts") for p in sorted((root / d).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert len(files) > 20
+    assert [u for p in files for u in _unused_imports(p)] == []

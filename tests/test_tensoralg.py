@@ -271,7 +271,7 @@ class TestUniversalD:
         act = std_mobius_action()
         rng = np.random.default_rng(8)
         x = WordCrossedForm.from_crossed(rand_crossed(rng, act, ["a"]), cap=5)
-        x3 = x.power(3)
+        x3 = x.mul(x).mul(x)
         dx = universal_d(x3)
         assert len(dx.sorted_keys()) == 3
 
