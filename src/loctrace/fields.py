@@ -22,11 +22,13 @@ Trees are immutable and shared.  The interpreter (``EvalCtx`` and each
 node's jet rule) memoizes on node identity so that products built from
 common subexpressions do not pay twice; it serves one-shot values and every
 jet.  A field evaluated on a batch of points a second time, as a quadrature
-integrand is block after block, is compiled once into a flat tape: the same
-jet rules recorded at order 0 as numpy operations on registers, run in one
-arena of reused block-sized rows.  A jet's keys depend on the tree and the
-order alone, so on every batch tape and interpreter give the same finite
-values, bit for bit but for the sign of a zero.
+integrand is block after block, runs a flat tape: the same jet rules
+recorded at order 0 as numpy operations on registers, run in one arena of
+reused block-sized rows.  Tapes are shared by structure: a module cache,
+keyed by the tree's distinct subtrees with their classes and attributes,
+hands every equal tree the tape recorded for the first.  A jet's keys depend
+on the tree and the order alone, so on every batch tape and interpreter give
+the same finite values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
@@ -347,6 +349,17 @@ def bump_profile_jet(s0, m, r_pl, r_sup):
     return uv_mul(ga, uv_recip([a + b for a, b in zip(ga, gb)]))
 
 
+def _profile_terms(F, ds, K):
+    """The terms F[1] ds + ... + F[K] ds^K of the profile at s0 + ds, by
+    Horner's rule; their keys depend on those of ds and on K alone."""
+    acc = {(0, 0): F[K].astype(complex)}
+    for k in range(K - 1, -1, -1):
+        acc = jd_mul(acc, ds, K)
+        if k:
+            acc[(0, 0)] = acc.get((0, 0), 0) + F[k]
+    return acc
+
+
 def _bump_jet(node, wj, K, ctx):
     """Jet dictionary of a cutoff from the jet of its inner point.  The glue
     profile is computed on the whole batch, at points moved into the
@@ -359,19 +372,19 @@ def _bump_jet(node, wj, K, ctx):
     annulus = ~(plateau | (s0 >= node.r_sup ** 2))
     if not ctx.annulus_met(annulus, K):
         return {(0, 0): plateau.astype(complex)}
+    ds = {k: v for k, v in sj.items() if k != (0, 0)}
+    if K and ctx.profile_vanishes(annulus):
+        # the terms' keys, from scalars; each term is 0, as add_where leaves it
+        zero = np.float64(0.0)
+        keys = _profile_terms([zero] * (K + 1), dict.fromkeys(ds, zero), K)
+        return {(0, 0): plateau.astype(complex), **{k: ctx.full(0.0) for k in keys}}
     mid = 0.5 * (node.r_pl + node.r_sup)
     F = bump_profile_jet(ctx.where(annulus, s0, mid * mid), K, node.r_pl, node.r_sup)
     # the value is the profile on the annulus, where the plateau is 0; the
     # profile is never -0, so adding it to 0 is the same
     out = {(0, 0): ctx.where(annulus, F[0], plateau).astype(complex)}
     if K:
-        ds = {k: v for k, v in sj.items() if k != (0, 0)}
-        acc = {(0, 0): F[K].astype(complex)}
-        for k in range(K - 1, -1, -1):
-            acc = jd_mul(acc, ds, K)
-            if k:
-                acc[(0, 0)] = acc.get((0, 0), 0) + F[k]
-        for key, v in acc.items():
+        for key, v in _profile_terms(F, ds, K).items():
             out[key] = ctx.add_where(ctx.full(0.0), v, annulus)
     return out
 
@@ -404,6 +417,11 @@ class EvalCtx:
         """Whether a cutoff jet of order K takes its profile terms: always
         for 1 <= K <= GLUE_ORDER_CAP, else where a point meets the annulus."""
         return _annulus_met(annulus, K)
+
+    def profile_vanishes(self, annulus):
+        """Whether a cutoff jet of order 1 to the cap may leave out its
+        profile: no point of the batch meets the annulus."""
+        return not np.any(annulus)
 
     def where(self, mask, a, b):
         return np.where(mask, a, b)
@@ -897,14 +915,14 @@ def _jet_batch(expr, z, K, check_flat=False):
 
 def eval_field(f, z):
     """Pointwise values; z may be a scalar or any ndarray of points.  The
-    second evaluation of a field on a batch of points compiles it to a tape,
-    which that batch and every later one runs."""
+    second evaluation of a field on a batch of points takes its tape, shared
+    with every equal tree, which that batch and every later one runs."""
     if np.ndim(z):
         if f.tape is None:
             f.tape = False  # evaluated once
         else:
             if f.tape is False:
-                f.tape = _Tape(f.expr)
+                f.tape = _tape_of(f.expr)
             zflat = np.asarray(z, dtype=complex).ravel()
             return f.tape.run(zflat).reshape(np.shape(z))
     d, _ = _jet_batch(f.expr, z, 0)
@@ -936,12 +954,19 @@ def plateau_safe(f, z0):
 # order the interpreter takes it, so a tape gives the interpreter's bits.
 # Equal instructions on equal operands are one register (value numbering),
 # which also merges structurally equal subtrees.  Constants stay scalars that
-# broadcast and nothing is folded, but the recorder drops the identities
-# x * 1, x + 0, x - 0 and x / 1, turns x * -1 into -x, and absorbs negations
-# into their reader: -(-x) = x, a + (-b) = a - b, (-a) + b = b - a,
-# a - (-b) = a + b, c (-x) = (-c) x and c / (-x) = (-c) / x for a constant c.
-# Each is exact in IEEE arithmetic but for the sign of a zero.
-# Instructions whose results are never read are dropped, except the checks.
+# broadcast, of their Python type so that numpy treats them as weak, and
+# nothing is folded but the negation and the conjugate of a constant, which
+# are exact.  The recorder drops the identities x * 1, x + 0, x - 0 and
+# x / 1, turns x * -1 into -x, and absorbs negations into their reader:
+# -(-x) = x, a + (-b) = a - b, (-a) + b = b - a, a - (-b) = a + b,
+# c (-x) = (-c) x and c / (-x) = (-c) / x for a constant c.  Each is exact in
+# IEEE arithmetic but for the sign of a zero.  Instructions whose results are
+# never read are dropped, except the checks.
+#
+# Tapes are shared by structure: ``_tape_of`` looks a tree's tape up by its
+# ``_structure``, which holds all that a jet rule or the recorder reads, so
+# equal keys record equal tapes.  The key is computed when a field is first
+# taped, never when a tree is built.
 #
 # A register that holds an array gets a row of the module's one arena, which
 # grows to the largest row count and block seen; a row is reused as soon as
@@ -950,24 +975,75 @@ def plateau_safe(f, z0):
 
 _TAPE_BLOCK = 4096
 _DTYPES = (np.dtype(complex), np.dtype(np.float64), np.dtype(np.bool_))
+# bounds of the tape cache and of the arena's cached row views
+_TAPE_CACHE = 256
+_ARENA_VIEWS = 64
+
+
+def _keep(cache, key, value, bound):
+    """Insert into a cache of at most ``bound`` entries, oldest out first."""
+    cache[key] = value
+    if len(cache) > bound:
+        del cache[next(iter(cache))]
 
 
 class _Arena:
-    __slots__ = ("buf",)
+    __slots__ = ("buf", "views")
 
     def __init__(self):
         self.buf = np.empty((0, 0), dtype=complex)
+        self.views = {}
 
     def rows(self, nrows, npts):
         """Each row as a complex, a float and a bool array of npts entries."""
-        have_rows, have_pts = self.buf.shape
-        if nrows > have_rows or npts > have_pts:
-            self.buf = np.empty((max(nrows, have_rows), max(npts, have_pts)), dtype=complex)
-        rows = list(self.buf[:nrows, :npts])
-        return rows + [r.view(d)[:npts] for d in _DTYPES[1:] for r in rows]
+        hit = self.views.get((nrows, npts))
+        if hit is None:
+            have_rows, have_pts = self.buf.shape
+            if nrows > have_rows or npts > have_pts:
+                self.buf = np.empty((max(nrows, have_rows), max(npts, have_pts)), dtype=complex)
+                self.views = {}
+            rows = list(self.buf[:nrows, :npts])
+            hit = rows + [r.view(d)[:npts] for d in _DTYPES[1:] for r in rows]
+            _keep(self.views, (nrows, npts), hit, _ARENA_VIEWS)
+        return hit
 
 
 _ARENA = _Arena()
+_TAPES = {}
+
+
+def _structure(expr):
+    """The tape cache's key of a tree: its distinct subtrees in post-order,
+    each as its class and its slots, with subtrees by number and any other
+    value by type and repr, as ``_Recorder.const`` keys a constant (so 0.0
+    and -0.0, or 1 and 1.0, differ).  Shared and repeated subtrees give one
+    entry, so the key depends on the tree's structure alone."""
+    number = {}  # entry -> its number, in the order first met
+    seen = {}  # id(node) -> number
+
+    def part(v):
+        if isinstance(v, Node):
+            hit = seen.get(id(v))
+            if hit is None:
+                entry = (type(v), *(part(getattr(v, s)) for s in v.__slots__))
+                hit = seen[id(v)] = number.setdefault(entry, len(number))
+            return hit
+        if isinstance(v, tuple):
+            return tuple(part(t) for t in v)
+        return (type(v).__name__, repr(v))
+
+    part(expr)
+    return tuple(number)
+
+
+def _tape_of(expr):
+    """The tape of a tree, recorded only when no equal tree has one."""
+    key = _structure(expr)
+    tape = _TAPES.get(key)
+    if tape is None:
+        tape = _Tape(expr)
+        _keep(_TAPES, key, tape, _TAPE_CACHE)
+    return tape
 
 
 def _operator(ufunc, reflected=False):
@@ -1086,6 +1162,11 @@ class _Recorder(EvalCtx):
         """The register that the instruction equals by one of the exact
         rewrites, or None.  An identity is dropped only where the operand
         has the output's dtype, except a product with 1, as before."""
+        if len(srcs) == 1 and srcs[0].value is not None:
+            if ufunc is np.negative:
+                return self.const(-srcs[0].value)
+            if ufunc is np.conjugate:
+                return self.const(srcs[0].value.conjugate())
         if ufunc is np.negative:
             return srcs[0].neg
         if len(srcs) != 2:
@@ -1134,6 +1215,9 @@ class _Recorder(EvalCtx):
             self.emit(partial(_k_glue_cap, K), (annulus,), pure=False)
             return False
         return True
+
+    def profile_vanishes(self, annulus):
+        return False  # a tape serves every batch
 
     def where(self, mask, a, b):
         return self.emit(_k_where, (mask, a, b), dtype=a.dtype)

@@ -4,13 +4,16 @@ Cells are axis-aligned rectangles carrying a tensor Gauss-Legendre rule of
 order 8.  A cell is accepted when the sum over its four children agrees with
 the parent value within the cell's share of the global tolerance; otherwise
 the children are refined, down to a depth limit.  Each depth level is
-evaluated in fixed blocks of 64 whole cells, whose points are made per block
-and which a field's compiled tape runs in reused block-sized rows (see
-``fields``); arrays for a whole level (up to 10^5 points) lie above glibc's
-mmap threshold, and faulting them in afresh cost more than the arithmetic.
-Evaluation and reduction run serially in a fixed order, so repeated runs
-agree bit for bit; across machines floats agree within rel 1e-12 / abs
-1e-14; all else is exact.
+evaluated in fixed blocks of 64 whole cells.  A block's points are written
+into one reused buffer, and the integrand's temporaries, such as the rows a
+field's compiled tape runs in (see ``fields``), stay block-sized, below
+glibc's mmap threshold.  The blocks' values go into one reused level buffer:
+a fresh array per level (up to 10^5 points) would lie above that threshold,
+and faulting it in cost more than the arithmetic.  The buffers grow to the
+largest level seen and serve every later level and integral; an integrand
+that itself integrates gets buffers of its own.  Evaluation and reduction
+run serially in a fixed order, so repeated runs agree bit for bit; across
+machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
 """
 
 from __future__ import annotations
@@ -51,25 +54,51 @@ class QuadratureResult:
         )
 
 
-def _cell_values(f_xy, cells):
-    """Gauss-Legendre values for an (n, 4) array of rectangles."""
+class _Buffers:
+    """One running integral's reused arrays: a level's values and a block's
+    points, as complex numbers or as the x and then the y coordinates."""
+
+    __slots__ = ("vals", "pts")
+
+    def __init__(self):
+        self.vals = np.empty(0, dtype=complex)
+        self.pts = np.empty(_BLOCK_CELLS * GL_ORDER * GL_ORDER, dtype=complex)
+
+
+# the buffers of the integrals not running now
+_IDLE = []
+
+
+def _cell_values(f, cells, bufs, complex_points):
+    """Gauss-Legendre values for an (n, 4) array of rectangles.  ``f`` maps
+    one block's points, given as one complex array or, for a real chart, as
+    two float arrays, to one value per point or one scalar."""
     x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
     cx, cy = 0.5 * (x1 + x0), 0.5 * (y1 + y0)
-    b = _BLOCK_CELLS
-
-    def block(a):  # the block's points; a scalar result broadcasts to them
-        c = slice(a, a + b)
+    n, m = len(cells), GL_ORDER * GL_ORDER
+    if len(bufs.vals) < n * m:
+        bufs.vals = np.empty(n * m, dtype=complex)
+    vals = bufs.vals[: n * m]
+    parts = bufs.pts.view(np.float64)
+    for a in range(0, n, _BLOCK_CELLS):
+        c = slice(a, a + _BLOCK_CELLS)
         X = cx[c, None, None] + hx[c, None, None] * _nodes[None, :, None]
         Y = cy[c, None, None] + hy[c, None, None] * _nodes[None, None, :]
-        shape = (len(X), GL_ORDER, GL_ORDER)
-        x = np.broadcast_to(X, shape).reshape(-1)
-        y = np.broadcast_to(Y, shape).reshape(-1)
-        v = np.asarray(f_xy(x, y), dtype=complex)
-        return np.broadcast_to(v, x.shape)
-    # one join per level: blocks freed one by one get trimmed and faulted back
-    vals = np.concatenate([block(a) for a in range(0, len(cells), b)])
-    vals = vals.reshape(len(cells), GL_ORDER, GL_ORDER)
+        size = len(X) * m
+        if complex_points:
+            z = bufs.pts[:size]
+            xy = parts[: 2 * size].reshape(len(X), GL_ORDER, GL_ORDER, 2)
+            np.copyto(xy[..., 0], X)
+            np.copyto(xy[..., 1], Y)
+            v = f(z)
+        else:
+            x, y = parts[:size], parts[len(bufs.pts) : len(bufs.pts) + size]
+            np.copyto(x.reshape(len(X), GL_ORDER, GL_ORDER), X)
+            np.copyto(y.reshape(len(X), GL_ORDER, GL_ORDER), Y)
+            v = f(x, y)
+        vals[a * m : a * m + size] = v  # a scalar broadcasts to the block
+    vals = vals.reshape(n, GL_ORDER, GL_ORDER)
     return (hx * hy) * np.einsum("nij,ij->n", vals, _W2)
 
 
@@ -89,20 +118,33 @@ def _children(cells):
 
 def integrate_rect(f_xy, rect, tol=1e-6, max_depth=12):
     """Integrate f(x, y) dx dy over a rectangle (x0, x1, y0, y1); ``f_xy``
-    maps two float arrays of points to one value per point or one scalar."""
+    maps two float arrays of points to one value per point or one scalar.
+    The arrays are reused for the next block: ``f_xy`` must not keep them."""
+    return _integrate(f_xy, rect, tol, max_depth, False)
+
+
+def integrate_box(f_z, rect, tol=1e-6, max_depth=12):
+    """Same engine with a complex-plane integrand f(z) and measure dx dy;
+    ``f_z`` gets one complex array of points, reused as in ``integrate_rect``."""
+    return _integrate(f_z, rect, tol, max_depth, True)
+
+
+def _integrate(f, rect, tol, max_depth, complex_points):
     x0, x1, y0, y1 = (float(v) for v in rect)
     if x1 <= x0 or y1 <= y0:
         return QuadratureResult(0.0, 0.0, 0, True)
+    # an integral that raises leaves its buffers to the garbage collector
+    bufs = _IDLE.pop() if _IDLE else _Buffers()
     total_area = (x1 - x0) * (y1 - y0)
     cells = np.array([[x0, x1, y0, y1]])
-    coarse = _cell_values(f_xy, cells)
+    coarse = _cell_values(f, cells, bufs, complex_points)
     value = 0j
     est = 0.0
     ncells = 1
     converged = True
     for depth in range(1, max_depth + 1):
         kids = _children(cells)
-        kid_vals = _cell_values(f_xy, kids)
+        kid_vals = _cell_values(f, kids, bufs, complex_points)
         ncells += len(kids)
         fine = kid_vals.reshape(-1, 4).sum(axis=1)
         err = np.abs(fine - coarse)
@@ -120,13 +162,5 @@ def integrate_rect(f_xy, rect, tol=1e-6, max_depth=12):
             break
         cells = kids.reshape(-1, 4, 4)[keep].reshape(-1, 4)
         coarse = kid_vals.reshape(-1, 4)[keep].reshape(-1)
+    _IDLE.append(bufs)
     return QuadratureResult(value, est, ncells, converged)
-
-
-def integrate_box(f_z, rect, tol=1e-6, max_depth=12):
-    """Same engine with a complex-plane integrand f(z) and measure dx dy."""
-
-    def f_xy(x, y):
-        return f_z(x + 1j * y)
-
-    return integrate_rect(f_xy, rect, tol, max_depth)

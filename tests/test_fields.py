@@ -350,6 +350,96 @@ def test_tape_raises_the_interpreter_domain_error(sexp, message):
     assert str(taped.value) == str(interpreted.value) == message
 
 
+def _taped(sexp):
+    f = F.field_from_sexp(sexp)
+    block = _tape_blocks()["mixed"]
+    want = F.eval_field(f, block)
+    assert np.array_equal(F.eval_field(f, block), want)
+    return f
+
+
+@pytest.mark.parametrize("name", sorted(TAPE_TREES))
+def test_equal_trees_share_one_tape(name):
+    a, b = _taped(TAPE_TREES[name]), _taped(TAPE_TREES[name])
+    assert a.expr is not b.expr and a.tape is b.tape
+    # a tree whose equal subtrees are one object shares it too
+    shared = F.field_from_sexp(TAPE_TREES[name])
+    doubled = F.ScalarField(F.Mul(shared.expr, shared.expr))
+    copied = F.ScalarField(F.Mul(a.expr, b.expr))
+    assert F._tape_of(doubled.expr) is F._tape_of(copied.expr)
+    for block in _tape_blocks().values():
+        want = F._jet_batch(a.expr, block, 0)[0][(0, 0)]
+        assert np.array_equal(a.tape.run(block), want)
+
+
+@pytest.mark.parametrize("a, b", [
+    ("(* z (c 0.5 0))", "(* z (c 0.25 0))"),
+    ("(* z (c 0.0 0))", "(* z (c -0.0 0))"),
+    ("(* z (c 0 0.0))", "(* z (c 0 -0.0))"),
+    ("(deriv 1 0 (* z (bump 0.1 0 0.2 0.45)))", "(deriv 0 1 (* z (bump 0.1 0 0.2 0.45)))"),
+    ("(deriv 1 0 (* z (bump 0.1 0 0.2 0.45)))", "(deriv 2 0 (* z (bump 0.1 0 0.2 0.45)))"),
+    ("(* z (bump 0.1 0 0.2 0.45))", "(* z (bump 0.1 0 0.2 0.46))"),
+    ("(* z (bump 0.1 0 0.2 0.45))", "(* z (bump 0.1 0 0.25 0.45))"),
+    ("(* z (bump 0.1 0 0.2 0.45))", "(* z (bump 0.1 0.0 0.2 0.45 (* z (c 1 0))))"),
+    ("(+ z (* z zbar))", "(+ (* z zbar) z)"),
+])
+def test_trees_that_differ_get_their_own_tapes(a, b):
+    fa, fb = _taped(a), _taped(b)
+    assert F._structure(fa.expr) != F._structure(fb.expr)
+    assert fa.tape is not fb.tape
+
+
+def test_tape_cache_is_bounded_oldest_out_first(monkeypatch):
+    monkeypatch.setattr(F, "_TAPES", {})
+    bound = F._TAPE_CACHE
+    exprs = [F.field_from_sexp(f"(* z (c {k} 0.5))").expr for k in range(bound + 3)]
+    tapes = []
+    for e in exprs:
+        tapes.append(F._tape_of(e))
+        assert len(F._TAPES) <= bound
+    assert len(F._TAPES) == bound
+    assert [F._tape_of(e) for e in exprs[3:]] == tapes[3:]  # kept, not recorded again
+    assert F._tape_of(exprs[0]) is not tapes[0]  # the oldest went first
+
+
+def test_arena_views_are_bounded_and_follow_the_buffer():
+    arena = F._Arena()
+    first = arena.rows(3, 64)
+    assert arena.rows(3, 64) is first
+    for npts in range(1, F._ARENA_VIEWS + 5):
+        views = arena.rows(2, npts)
+        assert all(len(v) == npts for v in views) and len(views) == 6
+        assert len(arena.views) <= F._ARENA_VIEWS
+    grown = arena.rows(5, 128)  # a larger buffer drops the views of the old one
+    assert all(np.shares_memory(v, arena.buf) for v in grown)
+    assert all(np.shares_memory(v, arena.buf) for vs in arena.views.values() for v in vs)
+
+
+# trees whose cutoffs no point of the "no-annulus" block meets
+PLAIN_CUTOFF_TREES = ["bump", "deriv-1", "deriv-11-key-order", "deriv-11-recip", "deriv-2"]
+
+
+@pytest.mark.parametrize("K", [1, 2, F.GLUE_ORDER_CAP - 2])  # the derivatives add 2
+@pytest.mark.parametrize("name", PLAIN_CUTOFF_TREES)
+def test_jet_without_the_profile_where_no_point_meets_it(name, K, monkeypatch):
+    # the interpreter leaves out a profile that is 0 on the whole batch; the
+    # keys and the bits are those of the profile's terms
+    expr = F.field_from_sexp(TAPE_TREES[name]).expr
+    block = _tape_blocks()["no-annulus"]
+    calls = []
+    profile = F.bump_profile_jet
+    monkeypatch.setattr(F, "bump_profile_jet", lambda *a: calls.append(a) or profile(*a))
+    got = F._jet_batch(expr, block, K)[0]
+    assert not calls
+    monkeypatch.setattr(F.EvalCtx, "profile_vanishes", lambda self, annulus: False)
+    want = F._jet_batch(expr, block, K)[0]
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[k], want[k]) and
+               np.array_equal(np.signbit(got[k].view(float)), np.signbit(want[k].view(float)))
+               for k in want)
+    assert calls
+
+
 def test_tape_built_once_and_arena_bounded():
     f = F.field_from_sexp(TAPE_TREES["compose"])
     F.eval_field(f, 0.3)
@@ -382,6 +472,9 @@ REWRITE_TREES = {
     "a+-b": "(+ (* z z) (neg zbar))",
     "-a+b": "(+ (neg (* z z)) zbar)",
     "c*-x": "(* (c 0.5 0.25) (neg (* z zbar)))",
+    # the negation and the conjugate of a constant are constants
+    "-c": "(* z (neg (c 0.5 -0.25)))",
+    "conj-c": "(* z (conj (c 0.5 -0.25)))",
 }
 
 

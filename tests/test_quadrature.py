@@ -1,8 +1,12 @@
 """Adaptive panel integration against closed forms and scipy."""
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from scipy import integrate as si
 
+from loctrace import quadrature as Q
 from loctrace.quadrature import integrate_box, integrate_rect
 
 BLOCK_POINTS = 64 * 64  # 64 cells of 8 x 8 Gauss points
@@ -107,3 +111,84 @@ def test_center_singularity_never_sampled():
 def test_degenerate_rect_is_zero():
     res = integrate_rect(lambda x, y: 1.0, (1, 1, 0, 2), tol=1e-10)
     assert res.value == 0.0
+
+
+def _concatenated_cell_values(f_xy, cells):
+    # the level's values as one join of fresh block arrays, as they were
+    # computed before the level buffer
+    x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
+    hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
+    cx, cy = 0.5 * (x1 + x0), 0.5 * (y1 + y0)
+    n = Q.GL_ORDER
+
+    def block(a):
+        c = slice(a, a + Q._BLOCK_CELLS)
+        X = cx[c, None, None] + hx[c, None, None] * Q._nodes[None, :, None]
+        Y = cy[c, None, None] + hy[c, None, None] * Q._nodes[None, None, :]
+        x = np.broadcast_to(X, (len(X), n, n)).reshape(-1)
+        y = np.broadcast_to(Y, (len(X), n, n)).reshape(-1)
+        return np.broadcast_to(np.asarray(f_xy(x, y), dtype=complex), x.shape)
+
+    vals = np.concatenate([block(a) for a in range(0, len(cells), Q._BLOCK_CELLS)])
+    return (hx * hy) * np.einsum("nij,ij->n", vals.reshape(len(cells), n, n), Q._W2)
+
+
+@pytest.mark.parametrize("ncells", [1, 63, 64, 65, 300])
+def test_level_buffer_gives_the_concatenated_values(ncells):
+    rng = np.random.default_rng(ncells)
+    lo = rng.uniform(-2, 2, (ncells, 2))
+    size = rng.uniform(1e-4, 1.0, (ncells, 2))
+    cells = np.column_stack([lo[:, 0], lo[:, 0] + size[:, 0], lo[:, 1], lo[:, 1] + size[:, 1]])
+    f_z = lambda z: np.exp(-z * z) / (2.5 + z)
+    f_xy = lambda x, y: np.cos(3 * x) * np.exp(1j * y) + x * y
+    stale = Q._Buffers()
+    stale.vals = np.full(10 * 64 * ncells, np.nan + 0j)  # its old values must not show
+    for bufs in (Q._Buffers(), stale):
+        assert np.array_equal(Q._cell_values(f_xy, cells, bufs, False),
+                              _concatenated_cell_values(f_xy, cells))
+        assert np.array_equal(Q._cell_values(f_z, cells, bufs, True),
+                              _concatenated_cell_values(lambda x, y: f_z(x + 1j * y), cells))
+        assert np.array_equal(Q._cell_values(lambda x, y: 2.5, cells, bufs, False),
+                              _concatenated_cell_values(lambda x, y: 2.5, cells))
+
+
+def test_nested_integrals_keep_their_own_buffers():
+    # an integrand that itself integrates; both integrals have levels of
+    # several blocks, so a shared buffer would be overwritten mid-level
+    inner_f = lambda w: ring(w.real, w.imag)
+    outer_f = lambda z: ring(z.real, z.imag) * (1 + 0.5j * z)
+    rect = (-2, 2, -2, 2)
+    inner = integrate_box(inner_f, rect, tol=1e-10)
+    outer = integrate_box(outer_f, rect, tol=1e-8, max_depth=6)
+    assert inner.cells > 8 * 64 and outer.cells > 4 * 64
+
+    def nested(z):
+        got = integrate_box(inner_f, rect, tol=1e-10)
+        assert got.value == inner.value and got.cells == inner.cells
+        return outer_f(z) * (got.value / inner.value)
+
+    res = integrate_box(nested, rect, tol=1e-8, max_depth=6)
+    assert res.value == outer.value and res.cells == outer.cells
+
+
+def test_levels_allocate_no_level_sized_arrays(monkeypatch):
+    # after a warm-up the buffers are grown, and an integral allocates only
+    # block-sized temporaries and its cells' bookkeeping (centres, sizes,
+    # children: about a fifth of a level's values), never a level's values
+    levels = []
+    cell_values = Q._cell_values
+    monkeypatch.setattr(Q, "_cell_values",
+                        lambda f, cells, *rest: levels.append(len(cells)) or cell_values(f, cells, *rest))
+    f = lambda z: np.exp(-500 * (np.abs(z) - 1) ** 2)
+    warm = integrate_box(f, (-2, 2, -2, 2), tol=1e-10, max_depth=10)
+    monkeypatch.undo()
+    level_bytes = max(levels) * 64 * 16
+    assert level_bytes >= 32 * BLOCK_POINTS * 16
+    tracemalloc.start()
+    try:
+        res = integrate_box(f, (-2, 2, -2, 2), tol=1e-10, max_depth=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.value == warm.value and res.cells == warm.cells
+    assert peak < level_bytes / 4
