@@ -14,8 +14,9 @@ calls as ``run.py`` does.
 
 Prints every round, then the median seconds per round of each checkout,
 their ratio (change / parent), the rounds the change was faster in, the
-median minor page faults per round and the failed operations.  Exits 1 if
-an operation failed, else 0.  Standard library only.
+median minor page faults per round, each child's peak resident memory
+(``ru_maxrss``) after the warm-up and at the end, and the failed operations.
+Exits 1 if an operation failed, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -43,9 +44,10 @@ for _ in sys.stdin:
     ops = build(seed)
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     wall, outcomes = run.run_round(ops, watch)
-    f1 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    usage = resource.getrusage(resource.RUSAGE_SELF)
     failed = [f"{name}: {why}" for name, _, why in outcomes if why is not None]
-    print(json.dumps({"wall": wall, "minflt": f1 - f0, "failed": failed}), flush=True)
+    print(json.dumps({"wall": wall, "minflt": usage.ru_minflt - f0,
+                      "maxrss_kb": usage.ru_maxrss, "failed": failed}), flush=True)
 """
 
 
@@ -80,9 +82,10 @@ def main(argv=None):
     seed = int(argv[4]) if len(argv) == 5 else 1
     kids = {"parent": Child(parent, workload, seed), "change": Child(change, workload, seed)}
     got = {"parent": [], "change": []}
+    warm = {}
     try:
-        for kid in kids.values():
-            kid.round()  # warm-up
+        for name, kid in kids.items():
+            warm[name] = kid.round()  # warm-up
         for i in range(n):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for name in order:
@@ -100,7 +103,9 @@ def main(argv=None):
     for k, v in got.items():
         faults = statistics.median(r["minflt"] for r in v)
         failed = sorted({f for r in v for f in r["failed"]})
-        print(f"{k}: median minor faults per round {faults:.0f}; failed ops {len(failed)}")
+        rss = f"{warm[k]['maxrss_kb'] / 1024:.2f} -> {v[-1]['maxrss_kb'] / 1024:.2f} MB"
+        print(f"{k}: median minor faults per round {faults:.0f}; "
+              f"peak RSS after warm-up -> at end {rss}; failed ops {len(failed)}")
         for f in failed:
             print(f"  {f}")
     return 1 if any(r["failed"] for v in got.values() for r in v) else 0

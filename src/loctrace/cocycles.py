@@ -127,13 +127,6 @@ def phi_trace_words(x, region=None, jet_order=16):
     return {key: v for key, v in got.items() if v != 0}
 
 
-def _integrand(field):
-    def f(z):
-        return F.eval_field(field, z)
-
-    return f
-
-
 def _unit_integral(mat, tol, max_depth, tag):
     field = _diag_sum(mat, 1, 1)
     if field.is_structural_zero():
@@ -145,7 +138,7 @@ def _unit_integral(mat, tol, max_depth, tag):
     bb = field.support.bbox()
     if bb is None:
         raise ValueError(f"cannot integrate the coefficient at {tag}: unbounded support")
-    res = integrate_box(_integrand(field), bb, tol, max_depth)
+    res = integrate_box(F.integrand(field), bb, tol, max_depth)
     if not res.converged:
         raise NonConvergenceError(
             f"unit integral at {tag} did not converge (est {res.est_error:.3g})"

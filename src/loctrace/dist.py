@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from . import fields as F
-from .quadrature import NonConvergenceError, integrate_box, integrate_rect
+from .quadrature import BLOCK_POINTS, NonConvergenceError, integrate_box, integrate_rect
 
 __all__ = [
     "N_MAX",
@@ -79,10 +79,12 @@ def _cauchy_pair(z0, psi, tol, max_depth):
 
     near = F.fmul(chi, psi)
     if not near.is_structural_zero():
+        near_at = F.integrand(near)
+
         # polar chart: d^2 z = r dr dtheta cancels the 1/r of the kernel
         def f_polar(r, th):
             e = np.exp(1j * th)  # conj(e) is exp(-1j * th), bit for bit
-            return np.conj(e) * F.eval_field(near, z0 + r * e)
+            return np.conj(e) * near_at(z0 + r * e)
 
         res = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
         value += res.value
@@ -92,14 +94,24 @@ def _cauchy_pair(z0, psi, tol, max_depth):
     far = F.fmul(F.fadd(F.fone(), F.fneg(chi)), psi)
     if not far.is_structural_zero():
         guard = 0.5 * r_pl
+        far_at = F.integrand(far)
+        # block scratch, each array below the mmap threshold; a block's
+        # values are read before the next block overwrites them
+        den_b, quot_b = np.empty(BLOCK_POINTS, complex), np.empty(BLOCK_POINTS, complex)
+        sq_b, safe_b = np.empty((2, BLOCK_POINTS)), np.empty(BLOCK_POINTS, bool)
 
         def f_far(z):
-            vals = F.eval_field(far, z)
-            den = z - z0
+            vals, n = far_at(z), len(z)
+            den = np.subtract(z, z0, out=den_b[:n])
             # the far factor vanishes identically inside the plateau, so the
             # rounding of |den|^2 near the guard does not show
-            safe = den.real * den.real + den.imag * den.imag > guard * guard
-            return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
+            r2, im2 = sq_b[:, :n]
+            np.multiply(den.real, den.real, out=r2)
+            np.add(r2, np.multiply(den.imag, den.imag, out=im2), out=r2)
+            safe = np.greater(r2, guard * guard, out=safe_b[:n])
+            quot = quot_b[:n]
+            quot.fill(0.0)
+            return np.divide(vals, den, out=quot, where=safe)
 
         res = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth)
         value += res.value

@@ -21,8 +21,8 @@ skip it.
 Trees are immutable and shared.  The interpreter (``EvalCtx`` and each
 node's jet rule) memoizes on node identity so that products built from
 common subexpressions do not pay twice; it serves one-shot values and every
-jet.  A field evaluated on a batch of points a second time, as a quadrature
-integrand is block after block, runs a flat tape: the same jet rules
+jet.  A quadrature integrand (``integrand``), and any field evaluated on a
+batch of points a second time, runs a flat tape: the same jet rules
 recorded at order 0 as numpy operations on registers, run in one arena of
 reused block-sized rows.  Tapes are shared by structure: a module cache,
 keyed by the tree's distinct subtrees with their classes and attributes,
@@ -70,6 +70,7 @@ __all__ = [
     "fderiv",
     "fpullback",
     "eval_field",
+    "integrand",
     "jet2_at",
     "plateau_safe",
     "field_to_sexp",
@@ -700,7 +701,7 @@ class ScalarField:
     def __init__(self, expr, support=None):
         self.expr = expr
         self.support = support
-        # None, False once evaluated on a batch, then the compiled _Tape
+        # None; False once batched or made an integrand; then the compiled _Tape
         self.tape = None
 
     def is_structural_zero(self):
@@ -930,6 +931,13 @@ def eval_field(f, z):
     if got is None:
         return np.zeros(np.shape(z), dtype=complex) if np.shape(z) else 0j
     return got
+
+
+def integrand(f):
+    """z -> eval_field(f, z) for quadrature: f runs its tape from the first
+    batch, as every block after the first would take it anyway."""
+    f.tape = f.tape or False
+    return lambda z: eval_field(f, z)
 
 
 def jet2_at(f, z0, order):

@@ -240,11 +240,7 @@ def _pair_quad(field, tol, max_depth):
     bb = None if field.support is None else field.support.bbox()
     if bb is None:
         raise ValueError("anomaly integrand needs bounded support")
-
-    def f(z):
-        return F.eval_field(field, z)
-
-    res = integrate_box(f, bb, tol, max_depth)
+    res = integrate_box(F.integrand(field), bb, tol, max_depth)
     if not res.converged:
         raise NonConvergenceError(
             f"anomaly integral did not converge (est {res.est_error:.3g})"

@@ -3,17 +3,15 @@
 Cells are axis-aligned rectangles carrying a tensor Gauss-Legendre rule of
 order 8.  A cell is accepted when the sum over its four children agrees with
 the parent value within the cell's share of the global tolerance; otherwise
-the children are refined, down to a depth limit.  Each depth level is
-evaluated in fixed blocks of 64 whole cells.  A block's points are written
-into one reused buffer, and the integrand's temporaries, such as the rows a
-field's compiled tape runs in (see ``fields``), stay block-sized, below
-glibc's mmap threshold.  The blocks' values go into one reused level buffer:
-a fresh array per level (up to 10^5 points) would lie above that threshold,
-and faulting it in cost more than the arithmetic.  The buffers grow to the
-largest level seen and serve every later level and integral; an integrand
-that itself integrates gets buffers of its own.  Evaluation and reduction
-run serially in a fixed order, so repeated runs agree bit for bit; across
-machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
+the children are refined, down to a depth limit.  A level is evaluated in
+blocks of 64 whole cells, ``BLOCK_POINTS`` points at most, through one reused
+block buffer of points and one of values; each block is reduced to its cell
+sums at once, so nothing level-sized is kept but the cells and their sums.
+The integrand's temporaries, such as the rows a field's compiled tape runs
+in (see ``fields``), stay block-sized too, below glibc's mmap threshold.  An
+integrand that itself integrates gets buffers of its own.  Evaluation and
+reduction run serially in a fixed order, so repeated runs agree bit for bit;
+across machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +22,8 @@ __all__ = ["integrate_rect", "integrate_box", "QuadratureResult", "NonConvergenc
 
 GL_ORDER = 8
 _nodes, _weights = np.polynomial.legendre.leggauss(GL_ORDER)
-_W2 = np.outer(_weights, _weights)
+# complex, as einsum would otherwise cast it per call into a fresh buffer
+_W2 = np.outer(_weights, _weights).astype(complex)
 # 64 cells of 64 points: a block's points and values, and each row of the
 # tape arena, are at most 64 KiB, below the 128 KiB mmap threshold.  With the
 # tape (benchmark ``cocycle`` workload, 2-core VM), 16 cells ran 1.35x slower,
@@ -32,6 +31,7 @@ _W2 = np.outer(_weights, _weights)
 # faster and raised peak memory by 9 MB, the arena's rows growing with the
 # block.
 _BLOCK_CELLS = 64
+BLOCK_POINTS = _BLOCK_CELLS * GL_ORDER * GL_ORDER
 
 
 class NonConvergenceError(Exception):
@@ -55,14 +55,13 @@ class QuadratureResult:
 
 
 class _Buffers:
-    """One running integral's reused arrays: a level's values and a block's
-    points, as complex numbers or as the x and then the y coordinates."""
+    """A running integral's block of values and of points (complex, or x then y)."""
 
     __slots__ = ("vals", "pts")
 
     def __init__(self):
-        self.vals = np.empty(0, dtype=complex)
-        self.pts = np.empty(_BLOCK_CELLS * GL_ORDER * GL_ORDER, dtype=complex)
+        self.vals = np.empty(BLOCK_POINTS, dtype=complex)
+        self.pts = np.empty(BLOCK_POINTS, dtype=complex)
 
 
 # the buffers of the integrals not running now
@@ -76,16 +75,13 @@ def _cell_values(f, cells, bufs, complex_points):
     x0, x1, y0, y1 = cells[:, 0], cells[:, 1], cells[:, 2], cells[:, 3]
     hx, hy = 0.5 * (x1 - x0), 0.5 * (y1 - y0)
     cx, cy = 0.5 * (x1 + x0), 0.5 * (y1 + y0)
-    n, m = len(cells), GL_ORDER * GL_ORDER
-    if len(bufs.vals) < n * m:
-        bufs.vals = np.empty(n * m, dtype=complex)
-    vals = bufs.vals[: n * m]
+    sums = np.empty(len(cells), dtype=complex)
     parts = bufs.pts.view(np.float64)
-    for a in range(0, n, _BLOCK_CELLS):
+    for a in range(0, len(cells), _BLOCK_CELLS):
         c = slice(a, a + _BLOCK_CELLS)
         X = cx[c, None, None] + hx[c, None, None] * _nodes[None, :, None]
         Y = cy[c, None, None] + hy[c, None, None] * _nodes[None, None, :]
-        size = len(X) * m
+        size = len(X) * GL_ORDER * GL_ORDER
         if complex_points:
             z = bufs.pts[:size]
             xy = parts[: 2 * size].reshape(len(X), GL_ORDER, GL_ORDER, 2)
@@ -97,9 +93,10 @@ def _cell_values(f, cells, bufs, complex_points):
             np.copyto(x.reshape(len(X), GL_ORDER, GL_ORDER), X)
             np.copyto(y.reshape(len(X), GL_ORDER, GL_ORDER), Y)
             v = f(x, y)
-        vals[a * m : a * m + size] = v  # a scalar broadcasts to the block
-    vals = vals.reshape(n, GL_ORDER, GL_ORDER)
-    return (hx * hy) * np.einsum("nij,ij->n", vals, _W2)
+        bufs.vals[:size] = v  # a scalar broadcasts to the block
+        vals = bufs.vals[:size].reshape(len(X), GL_ORDER, GL_ORDER)
+        np.einsum("nij,ij->n", vals, _W2, out=sums[c])
+    return (hx * hy) * sums
 
 
 def _children(cells):
@@ -129,6 +126,11 @@ def integrate_box(f_z, rect, tol=1e-6, max_depth=12):
     return _integrate(f_z, rect, tol, max_depth, True)
 
 
+def _add_in_order(total, parts):
+    """total + parts[0] + parts[1] + ..., added left to right."""
+    return np.add.accumulate(np.append(total, parts))[-1]
+
+
 def _integrate(f, rect, tol, max_depth, complex_points):
     x0, x1, y0, y1 = (float(v) for v in rect)
     if x1 <= x0 or y1 <= y0:
@@ -138,10 +140,8 @@ def _integrate(f, rect, tol, max_depth, complex_points):
     total_area = (x1 - x0) * (y1 - y0)
     cells = np.array([[x0, x1, y0, y1]])
     coarse = _cell_values(f, cells, bufs, complex_points)
-    value = 0j
-    est = 0.0
-    ncells = 1
-    converged = True
+    value, est = 0j, 0.0
+    ncells, converged = 1, True
     for depth in range(1, max_depth + 1):
         kids = _children(cells)
         kid_vals = _cell_values(f, kids, bufs, complex_points)
@@ -154,9 +154,8 @@ def _integrate(f, rect, tol, max_depth, complex_points):
         if depth == max_depth:
             converged = not bool(np.any(~accept))
             accept = np.ones_like(accept)
-        for i in np.where(accept)[0]:
-            value += fine[i]
-            est += err[i]
+        value = _add_in_order(value, fine[accept])
+        est = _add_in_order(est, err[accept])
         keep = ~accept
         if not np.any(keep):
             break

@@ -5,6 +5,7 @@ tests compare against live in the test modules themselves.
 """
 
 import numpy as np
+import pytest
 
 from loctrace import fields as F
 from loctrace import groupoid as G
@@ -71,6 +72,19 @@ def rand_crossed(rng, action, names, size=1, degrees=((0, 0),)):
 
 def eval_at(f, z):
     return F.eval_field(f, z)
+
+
+@pytest.fixture
+def batches_never_interpreted(monkeypatch):
+    """Fail any batch of points that reaches the interpreter, as a
+    quadrature integrand's blocks would were it not taped from its first."""
+    jet_batch = F._jet_batch
+
+    def guarded(expr, z, *args, **kwargs):
+        assert not np.ndim(z), "a batch of points went to the interpreter"
+        return jet_batch(expr, z, *args, **kwargs)
+
+    monkeypatch.setattr(F, "_jet_batch", guarded)
 
 
 def grid_points(rng, n, radius=0.35):

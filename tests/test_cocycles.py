@@ -374,6 +374,14 @@ class TestUnitIntegrals:
         want = -2j * re_im(lambda z: F.eval_field(f, z))
         assert abs(got.value - want) < 1e-7
 
+    def test_blocks_are_all_taped(self, batches_never_interpreted):
+        from loctrace.algebra import FormCoefficient
+
+        act = kappa_action()
+        f = rand_coeff(np.random.default_rng(18))
+        x = CrossedForm.single(act, act.unit, [[FormCoefficient({(1, 1): f})]])
+        assert integrate_units(x, tol=1e-8).value != 0
+
     def test_non_unit_labels_ignored(self):
         act = kappa_action()
         from loctrace.algebra import FormCoefficient

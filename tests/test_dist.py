@@ -1,5 +1,7 @@
 """Renormalized kernels against hand-rolled polar oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,12 @@ from loctrace.dist import (
     N_MAX,
     NonConvergenceError,
     RenormKernel,
+    _cauchy_pair,
     check_covariance,
     check_dolbeault,
     pair_kernel,
 )
+from loctrace.quadrature import integrate_box, integrate_rect
 
 QKW = dict(tol=1e-8, max_depth=14)
 
@@ -76,6 +80,44 @@ class TestKernelObject:
         phi = smooth_phi()
         with pytest.raises(NonConvergenceError):
             pair_kernel(k, phi, tol=1e-12, max_depth=1)
+
+
+def cauchy_pair_oracle(z0, psi, tol, max_depth):
+    # the split pairing with fresh arrays on every block
+    x0, x1, y0, y1 = psi.support.bbox()
+    r_cut = 0.35 * math.hypot(x1 - x0, y1 - y0)
+    r_pl = 0.5 * r_cut
+    chi = F.bump_field(z0, r_pl, r_cut)
+    near = F.fmul(chi, psi)
+    far = F.fmul(F.fadd(F.fone(), F.fneg(chi)), psi)
+
+    def f_polar(r, th):
+        e = np.exp(1j * th)
+        return np.conj(e) * F.eval_field(near, z0 + r * e)
+
+    def f_far(z):
+        vals = F.eval_field(far, z)
+        den = z - z0
+        safe = den.real * den.real + den.imag * den.imag > (0.5 * r_pl) * (0.5 * r_pl)
+        return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
+
+    value = 0j
+    value += integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth).value
+    value += integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth).value
+    return value
+
+
+@pytest.mark.parametrize("z0", [0.0, 0.05 - 0.1j, 0.45 + 0.2j, 1.5])
+def test_cauchy_pair_gives_the_oracle_bits(z0):
+    psi = smooth_phi()
+    got, _ = _cauchy_pair(z0, psi, **QKW)
+    assert got == cauchy_pair_oracle(z0, psi, **QKW)
+
+
+def test_blocks_are_all_taped(batches_never_interpreted):
+    # the anchor inside the support, so both the near and the far parts run
+    got, _ = _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
+    assert got != 0
 
 
 class TestOrderOne:

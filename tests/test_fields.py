@@ -307,6 +307,20 @@ def test_tape_matches_interpreter(name, block):
     assert np.array_equal(F.eval_field(f, z[::-1]), want[::-1])
 
 
+@pytest.mark.parametrize("name", sorted(TAPE_TREES))
+def test_integrand_is_taped_from_its_first_batch(name, monkeypatch):
+    z = _tape_blocks()["mixed"]
+    want = F.eval_field(F.field_from_sexp(TAPE_TREES[name]), z)  # interpreted
+    f = F.field_from_sexp(TAPE_TREES[name])
+    ev = F.integrand(f)
+    monkeypatch.setattr(F, "_jet_batch", None)
+    assert np.array_equal(ev(z), want)
+    tape = f.tape
+    assert tape
+    F.integrand(f)
+    assert f.tape is tape  # a taped field keeps its tape
+
+
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("name", sorted(TAPE_TREES))
 def test_jet_keys_do_not_depend_on_the_points(name, K):

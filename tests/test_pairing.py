@@ -239,6 +239,10 @@ class TestAnomalyDelta1:
         assert mags and max(mags) > 1e-10  # both routes see real content
         assert res.defect <= 2e-7
 
+    def test_blocks_are_all_taped(self, batches_never_interpreted):
+        A, om = free_affine_anomaly_pair()
+        assert anomaly_delta1(A, om, tol=1e-7, max_depth=12).defect <= 2e-7
+
     def test_nonconvergence_raises(self):
         A, om = free_affine_anomaly_pair()
         # the explicit route integrates first, through the anomaly quadrature

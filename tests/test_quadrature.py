@@ -130,10 +130,11 @@ def _concatenated_cell_values(f_xy, cells):
         return np.broadcast_to(np.asarray(f_xy(x, y), dtype=complex), x.shape)
 
     vals = np.concatenate([block(a) for a in range(0, len(cells), Q._BLOCK_CELLS)])
-    return (hx * hy) * np.einsum("nij,ij->n", vals.reshape(len(cells), n, n), Q._W2)
+    w2 = np.outer(Q._weights, Q._weights)
+    return (hx * hy) * np.einsum("nij,ij->n", vals.reshape(len(cells), n, n), w2)
 
 
-@pytest.mark.parametrize("ncells", [1, 63, 64, 65, 300])
+@pytest.mark.parametrize("ncells", [1, 63, 64, 65, 129, 300])
 def test_level_buffer_gives_the_concatenated_values(ncells):
     rng = np.random.default_rng(ncells)
     lo = rng.uniform(-2, 2, (ncells, 2))
@@ -150,6 +151,48 @@ def test_level_buffer_gives_the_concatenated_values(ncells):
                               _concatenated_cell_values(lambda x, y: f_z(x + 1j * y), cells))
         assert np.array_equal(Q._cell_values(lambda x, y: 2.5, cells, bufs, False),
                               _concatenated_cell_values(lambda x, y: 2.5, cells))
+
+
+def test_idle_buffers_hold_one_block(monkeypatch):
+    # a level is reduced block by block, so no buffer grows with it
+    levels = []
+    cell_values = Q._cell_values
+    monkeypatch.setattr(Q, "_cell_values",
+                        lambda f, cells, *rest: levels.append(len(cells)) or cell_values(f, cells, *rest))
+    f = lambda z: np.exp(-500 * (np.abs(z) - 1) ** 2)
+    assert integrate_box(f, (-2, 2, -2, 2), tol=1e-10, max_depth=10).converged
+    assert max(levels) >= 32 * Q._BLOCK_CELLS
+    assert Q._IDLE
+    for bufs in Q._IDLE:
+        assert bufs.pts.nbytes <= BLOCK_POINTS * 16
+        assert bufs.vals.nbytes <= BLOCK_POINTS * 16
+
+
+def _add_in_a_loop(total, parts):
+    for p in parts:
+        total += p
+    return total
+
+
+def _bits(x):
+    return np.asarray(x, dtype=complex).reshape(1).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_add_in_order_gives_the_loop_bits(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 40))
+    parts = rng.normal(size=(n, 2)) * 10.0 ** rng.integers(-8, 9, (n, 2))
+    # signed zeros, in the real and in the imaginary parts
+    zero = rng.uniform(size=(n, 2)) < 0.3
+    parts[zero] = np.where(rng.uniform(size=zero.sum()) < 0.5, -0.0, 0.0)
+    parts = parts.view(complex).ravel()
+    for total in (0j, complex(-0.0, -0.0), complex(-0.0, 0.0), complex(rng.normal(), -rng.normal())):
+        assert _bits(Q._add_in_order(total, parts)) == _bits(_add_in_a_loop(total, parts))
+        assert _bits(Q._add_in_order(total, parts[:0])) == _bits(total)
+    for total in (0.0, -0.0, rng.normal()):
+        got, want = Q._add_in_order(total, parts.real), _add_in_a_loop(total, parts.real)
+        assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 def test_nested_integrals_keep_their_own_buffers():
@@ -172,9 +215,9 @@ def test_nested_integrals_keep_their_own_buffers():
 
 
 def test_levels_allocate_no_level_sized_arrays(monkeypatch):
-    # after a warm-up the buffers are grown, and an integral allocates only
-    # block-sized temporaries and its cells' bookkeeping (centres, sizes,
-    # children: about a fifth of a level's values), never a level's values
+    # after a warm-up an integral allocates only block-sized temporaries and
+    # its cells' bookkeeping (centres, sizes, children, sums: about a fifth
+    # of a level's values), never a level's values
     levels = []
     cell_values = Q._cell_values
     monkeypatch.setattr(Q, "_cell_values",
