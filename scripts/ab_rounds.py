@@ -15,7 +15,9 @@ calls as ``run.py`` does.
 Prints every round, then the median seconds per round of each checkout,
 their ratio (change / parent), the rounds the change was faster in, the
 median minor page faults per round, each child's peak resident memory
-(``ru_maxrss``) after the warm-up and at the end, and the failed operations.
+(``ru_maxrss``) after the warm-up and at the end, next to the size of its
+compiled tapes' arena then (``loctrace.fields._ARENA.buf.nbytes``; ``n/a``
+for a checkout without it), and the failed operations.
 Exits 1 if an operation failed, else 0.  Standard library only.
 """
 
@@ -38,6 +40,7 @@ def load(name):
     return mod
 run = load("run")
 run.import_loctrace()
+from loctrace import fields
 build = load("workloads").WORKLOADS[workload]
 watch = types.SimpleNamespace(unconverged=0)
 for _ in sys.stdin:
@@ -46,9 +49,15 @@ for _ in sys.stdin:
     wall, outcomes = run.run_round(ops, watch)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     failed = [f"{name}: {why}" for name, _, why in outcomes if why is not None]
+    arena = getattr(getattr(fields, "_ARENA", None), "buf", None)
     print(json.dumps({"wall": wall, "minflt": usage.ru_minflt - f0,
-                      "maxrss_kb": usage.ru_maxrss, "failed": failed}), flush=True)
+                      "maxrss_kb": usage.ru_maxrss, "failed": failed,
+                      "arena_bytes": None if arena is None else arena.nbytes}), flush=True)
 """
+
+
+def _mib(nbytes):
+    return "n/a" if nbytes is None else f"{nbytes / 2**20:.2f} MiB"
 
 
 class Child:
@@ -104,8 +113,10 @@ def main(argv=None):
         faults = statistics.median(r["minflt"] for r in v)
         failed = sorted({f for r in v for f in r["failed"]})
         rss = f"{warm[k]['maxrss_kb'] / 1024:.2f} -> {v[-1]['maxrss_kb'] / 1024:.2f} MB"
+        arena = " -> ".join(_mib(r["arena_bytes"]) for r in (warm[k], v[-1]))
         print(f"{k}: median minor faults per round {faults:.0f}; "
-              f"peak RSS after warm-up -> at end {rss}; failed ops {len(failed)}")
+              f"peak RSS after warm-up -> at end {rss} (tape arena {arena}); "
+              f"failed ops {len(failed)}")
         for f in failed:
             print(f"  {f}")
     return 1 if any(r["failed"] for v in got.values() for r in v) else 0

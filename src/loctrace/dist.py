@@ -80,11 +80,20 @@ def _cauchy_pair(z0, psi, tol, max_depth):
     near = F.fmul(chi, psi)
     if not near.is_structural_zero():
         near_at = F.integrand(near)
+        # block scratch as for f_far below; th and r are cast to complex in
+        # it first, as a complex product of a float array would cast it into
+        # a fresh block-sized temporary on every call
+        e_b, z_b = np.empty(BLOCK_POINTS, complex), np.empty(BLOCK_POINTS, complex)
 
         # polar chart: d^2 z = r dr dtheta cancels the 1/r of the kernel
         def f_polar(r, th):
-            e = np.exp(1j * th)  # conj(e) is exp(-1j * th), bit for bit
-            return np.conj(e) * near_at(z0 + r * e)
+            e, z = e_b[: len(r)], z_b[: len(r)]
+            np.copyto(e, th)
+            np.exp(np.multiply(1j, e, out=e), out=e)
+            np.copyto(z, r)
+            np.add(z0, np.multiply(z, e, out=z), out=z)
+            np.conj(e, out=e)  # conj(e) is exp(-1j * th), bit for bit
+            return np.multiply(e, near_at(z), out=z)
 
         res = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
         value += res.value

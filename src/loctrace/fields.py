@@ -24,7 +24,9 @@ common subexpressions do not pay twice; it serves one-shot values and every
 jet.  A quadrature integrand (``integrand``), and any field evaluated on a
 batch of points a second time, runs a flat tape: the same jet rules
 recorded at order 0 as numpy operations on registers, run in one arena of
-reused block-sized rows.  Tapes are shared by structure: a module cache,
+reused block-sized rows.  The arena is bounded by bytes (``_ARENA_BYTES``,
+2 MiB): a tape with more rows than fit a whole quadrature block runs in
+halved sub-blocks instead.  Tapes are shared by structure: a module cache,
 keyed by the tree's distinct subtrees with their classes and attributes,
 hands every equal tree the tape recorded for the first.  A jet's keys depend
 on the tree and the order alone, so on every batch tape and interpreter give
@@ -914,10 +916,12 @@ def _jet_batch(expr, z, K, check_flat=False):
     return out, ctx.flat
 
 
-def eval_field(f, z):
+def eval_field(f, z, out=None):
     """Pointwise values; z may be a scalar or any ndarray of points.  The
     second evaluation of a field on a batch of points takes its tape, shared
-    with every equal tree, which that batch and every later one runs."""
+    with every equal tree, which that batch and every later one runs.  A
+    tape writes into ``out`` when it holds the batch; else the values are a
+    fresh array."""
     if np.ndim(z):
         if f.tape is None:
             f.tape = False  # evaluated once
@@ -925,7 +929,7 @@ def eval_field(f, z):
             if f.tape is False:
                 f.tape = _tape_of(f.expr)
             zflat = np.asarray(z, dtype=complex).ravel()
-            return f.tape.run(zflat).reshape(np.shape(z))
+            return f.tape.run(zflat, out).reshape(np.shape(z))
     d, _ = _jet_batch(f.expr, z, 0)
     got = d.get((0, 0))
     if got is None:
@@ -935,9 +939,12 @@ def eval_field(f, z):
 
 def integrand(f):
     """z -> eval_field(f, z) for quadrature: f runs its tape from the first
-    batch, as every block after the first would take it anyway."""
+    batch, as every block after the first would take it anyway.  The values
+    of a block of at most _TAPE_BLOCK points go into one buffer kept for the
+    integrand's life, which the next call overwrites."""
     f.tape = f.tape or False
-    return lambda z: eval_field(f, z)
+    out = np.empty(_TAPE_BLOCK, dtype=complex)
+    return lambda z: eval_field(f, z, out)
 
 
 def jet2_at(f, z0, order):
@@ -976,12 +983,18 @@ def plateau_safe(f, z0):
 # equal keys record equal tapes.  The key is computed when a field is first
 # taped, never when a tree is built.
 #
-# A register that holds an array gets a row of the module's one arena, which
-# grows to the largest row count and block seen; a row is reused as soon as
-# its register is dead.  A batch runs in blocks of _TAPE_BLOCK points, one
-# quadrature block, so the arena stays small.  Evaluation is serial.
+# A register that holds an array gets a row of the module's one arena, a flat
+# buffer that grows to the most rows x points requested; a row is reused as
+# soon as its register is dead.  A batch runs in blocks of _TAPE_BLOCK points,
+# one quadrature block, halved (down to _TAPE_MIN_BLOCK) while the tape's rows
+# would take more than _ARENA_BYTES, so the widest tape does not set the
+# arena's size: at 2 MiB, one core's L2 cache on the benchmark's 2-core Xeon
+# VM, only tapes of more than 32 rows split.  Every instruction is
+# elementwise, so the split gives the same bits.  Evaluation is serial.
 
 _TAPE_BLOCK = 4096
+_TAPE_MIN_BLOCK = 64
+_ARENA_BYTES = 2 << 20
 _DTYPES = (np.dtype(complex), np.dtype(np.float64), np.dtype(np.bool_))
 # bounds of the tape cache and of the arena's cached row views
 _TAPE_CACHE = 256
@@ -995,22 +1008,30 @@ def _keep(cache, key, value, bound):
         del cache[next(iter(cache))]
 
 
+def _tape_block(nrows):
+    """Points per block of a tape of nrows rows: _TAPE_BLOCK, halved until
+    the rows fit in _ARENA_BYTES or the block is _TAPE_MIN_BLOCK."""
+    block = _TAPE_BLOCK
+    while block > _TAPE_MIN_BLOCK and 16 * nrows * block > _ARENA_BYTES:
+        block //= 2
+    return block
+
+
 class _Arena:
     __slots__ = ("buf", "views")
 
     def __init__(self):
-        self.buf = np.empty((0, 0), dtype=complex)
+        self.buf = np.empty(0, dtype=complex)
         self.views = {}
 
     def rows(self, nrows, npts):
         """Each row as a complex, a float and a bool array of npts entries."""
         hit = self.views.get((nrows, npts))
         if hit is None:
-            have_rows, have_pts = self.buf.shape
-            if nrows > have_rows or npts > have_pts:
-                self.buf = np.empty((max(nrows, have_rows), max(npts, have_pts)), dtype=complex)
+            if nrows * npts > len(self.buf):
+                self.buf = np.empty(nrows * npts, dtype=complex)
                 self.views = {}
-            rows = list(self.buf[:nrows, :npts])
+            rows = list(self.buf[: nrows * npts].reshape(nrows, npts))
             hit = rows + [r.view(d)[:npts] for d in _DTYPES[1:] for r in rows]
             _keep(self.views, (nrows, npts), hit, _ARENA_VIEWS)
         return hit
@@ -1240,7 +1261,7 @@ class _Tape:
     into the run's operand list [z, the rows as complex, as float and as bool
     arrays, the constants]."""
 
-    __slots__ = ("code", "nrows", "consts", "result")
+    __slots__ = ("code", "nrows", "block", "consts", "result")
 
     def __init__(self, expr):
         rec = _Recorder()
@@ -1281,6 +1302,7 @@ class _Tape:
                       tuple(index(r) for r in srcs)) for kernel, out, srcs in placed]
         self.consts = [consts[rid] for rid in slot]
         self.result = index(res)
+        self.block = _tape_block(self.nrows)
 
     def _grow(self):
         self.nrows += 1
@@ -1299,10 +1321,12 @@ class _Tape:
             live.update(r.id for r in srcs)
         return kept[::-1]
 
-    def run(self, zflat):
-        out = np.empty(len(zflat), dtype=complex)
-        for a in range(0, len(zflat), _TAPE_BLOCK):
-            z = zflat[a : a + _TAPE_BLOCK]
+    def run(self, zflat, out=None):
+        """Values at the points; they go into ``out`` when it holds them all."""
+        n = len(zflat)
+        out = np.empty(n, dtype=complex) if out is None or len(out) < n else out[:n]
+        for a in range(0, n, self.block):
+            z = zflat[a : a + self.block]
             env = [z, *_ARENA.rows(self.nrows, len(z)), *self.consts]
             for kernel, d, s in self.code:
                 if len(s) == 2:

@@ -1,10 +1,12 @@
 """Renormalized kernels against hand-rolled polar oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from loctrace import dist as D
 from loctrace import fields as F
 from loctrace import groupoid as G
 from loctrace.dist import (
@@ -101,17 +103,61 @@ def cauchy_pair_oracle(z0, psi, tol, max_depth):
         safe = den.real * den.real + den.imag * den.imag > (0.5 * r_pl) * (0.5 * r_pl)
         return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
 
-    value = 0j
-    value += integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth).value
-    value += integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth).value
-    return value
+    polar = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
+    far = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth)
+    return 0j + polar.value + far.value, [polar, far]
+
+
+def _recorded(monkeypatch, module, name):
+    """The integrands and results of every call of module.name from now on."""
+    calls = []
+    orig = getattr(module, name)
+
+    def recording(f, *args):
+        res = orig(f, *args)
+        calls.append((f, res))
+        return res
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 @pytest.mark.parametrize("z0", [0.0, 0.05 - 0.1j, 0.45 + 0.2j, 1.5])
-def test_cauchy_pair_gives_the_oracle_bits(z0):
+def test_cauchy_pair_gives_the_oracle_bits(z0, monkeypatch):
     psi = smooth_phi()
+    want, parts = cauchy_pair_oracle(z0, psi, **QKW)
+    polar = _recorded(monkeypatch, D, "integrate_rect")
+    far = _recorded(monkeypatch, D, "integrate_box")
     got, _ = _cauchy_pair(z0, psi, **QKW)
-    assert got == cauchy_pair_oracle(z0, psi, **QKW)
+    assert got == want
+    if not polar:  # the near part is structurally zero and not integrated
+        assert parts[0].value == 0
+        parts = parts[1:]
+    # each part on its own: the polar and the far integral, bit for bit
+    for (_, res), oracle in zip(polar + far, parts, strict=True):
+        assert (res.value, res.est_error, res.cells) == (
+            oracle.value, oracle.est_error, oracle.cells)
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["polar", "far"])
+def test_cauchy_pair_integrands_allocate_no_block_arrays(part, monkeypatch):
+    # after its first block an integrand computes in its own block scratch:
+    # a 4,096-point call allocates less than a quarter of one block's values
+    calls = _recorded(monkeypatch, D, ("integrate_rect", "integrate_box")[part])
+    _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
+    (f, _), = calls
+    rng = np.random.default_rng(3)
+    r, th = rng.uniform(0.0, 0.5, 4096), rng.uniform(0.0, 2.0 * math.pi, 4096)
+    args = (r, th) if part == 0 else (r * np.exp(1j * th),)
+    want = f(*args).copy()
+    tracemalloc.start()
+    try:
+        got = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, want)
+    assert peak < 4096 * 16 / 4
 
 
 def test_blocks_are_all_taped(batches_never_interpreted):

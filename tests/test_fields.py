@@ -321,6 +321,21 @@ def test_integrand_is_taped_from_its_first_batch(name, monkeypatch):
     assert f.tape is tape  # a taped field keeps its tape
 
 
+def test_integrand_reuses_one_block_buffer():
+    z = _tape_blocks()["mixed"]
+    f = F.field_from_sexp(TAPE_TREES["compose"])
+    ev = F.integrand(f)
+    first = ev(z)
+    want = first.copy()
+    second = ev(z[::-1])
+    assert np.shares_memory(first, second)  # the next block overwrites it
+    assert np.array_equal(second, want[::-1]) and np.array_equal(ev(z), want)
+    # every other caller gets a fresh array
+    a, b = F.eval_field(f, z), F.eval_field(f, z)
+    assert np.array_equal(a, want) and not np.shares_memory(a, b)
+    assert not np.shares_memory(a, first)
+
+
 @pytest.mark.parametrize("K", [1, 2])
 @pytest.mark.parametrize("name", sorted(TAPE_TREES))
 def test_jet_keys_do_not_depend_on_the_points(name, K):
@@ -425,8 +440,72 @@ def test_arena_views_are_bounded_and_follow_the_buffer():
         assert all(len(v) == npts for v in views) and len(views) == 6
         assert len(arena.views) <= F._ARENA_VIEWS
     grown = arena.rows(5, 128)  # a larger buffer drops the views of the old one
+    assert arena.buf.shape == (5 * 128,)  # one flat buffer of rows x points
     assert all(np.shares_memory(v, arena.buf) for v in grown)
     assert all(np.shares_memory(v, arena.buf) for vs in arena.views.values() for v in vs)
+    assert all(v.flags.c_contiguous for vs in arena.views.values() for v in vs)
+    arena.rows(3, 200)  # 600 entries fit in 640: no new buffer
+    assert arena.buf.shape == (5 * 128,)
+
+
+def _deep_product(n):
+    """n factors z + c_k, each live until the product of those after it is
+    done: a tape of n rows.  The c_k are real of both signs, so on the real
+    axis the values' imaginary parts are zeros of both signs."""
+    s = "z"
+    for k in range(n, 0, -1):
+        s = f"(* (+ z (c {(-1) ** k * (0.3 + k / 64)} 0)) {s})"
+    return F.field_from_sexp(s)
+
+
+def _bits(v):
+    return v.view(np.uint64)
+
+
+class _RowsSeen(F._Arena):
+    """An arena that records the (rows, points) of every request."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def rows(self, nrows, npts):
+        self.seen.append((nrows, npts))
+        return super().rows(nrows, npts)
+
+
+def test_wide_tape_runs_in_halved_blocks(monkeypatch):
+    f = _deep_product(40)
+    x = np.linspace(-0.6, 0.6, 71)
+    # the real axis among the points, so signed zeros occur; 5,041 points
+    # are two halved blocks and a remainder
+    z = (x[None, :] + 1j * x[:, None]).ravel()
+    assert np.any(z.imag == 0) and len(z) % 2048
+    want = F._jet_batch(f.expr, z, 0)[0][(0, 0)]
+    arena = _RowsSeen()
+    monkeypatch.setattr(F, "_ARENA", arena)
+    tape = F._Tape(f.expr)
+    assert tape.nrows > 32 and tape.block == F._TAPE_BLOCK // 2
+    assert 16 * tape.nrows * tape.block <= F._ARENA_BYTES < 32 * tape.nrows * tape.block
+    got = tape.run(z)
+    assert np.array_equal(_bits(got), _bits(want))
+    assert arena.seen == [(40, 2048), (40, 2048), (40, len(z) - 4096)]
+    # the same tape in whole blocks gives the same bits
+    monkeypatch.setattr(F, "_ARENA_BYTES", 1 << 30)
+    whole = F._Tape(f.expr)
+    assert whole.block == F._TAPE_BLOCK
+    assert np.array_equal(_bits(whole.run(z)), _bits(got))
+    zeros = np.signbit(got.imag[got.imag == 0])
+    assert zeros.any() and not zeros.all()
+
+
+def test_arena_stays_within_its_byte_budget():
+    f = _deep_product(70)
+    block = _grid(64, -0.6, 0.6)
+    want = F.eval_field(f, block)
+    assert np.array_equal(_bits(F.eval_field(f, block)), _bits(want))
+    assert f.tape.nrows == 70 and f.tape.block == F._TAPE_BLOCK // 4
+    assert F._ARENA.buf.nbytes <= F._ARENA_BYTES
 
 
 # trees whose cutoffs no point of the "no-annulus" block meets
@@ -454,7 +533,8 @@ def test_jet_without_the_profile_where_no_point_meets_it(name, K, monkeypatch):
     assert calls
 
 
-def test_tape_built_once_and_arena_bounded():
+def test_tape_built_once_and_arena_bounded(monkeypatch):
+    monkeypatch.setattr(F, "_ARENA", F._Arena())  # sized by this tape alone
     f = F.field_from_sexp(TAPE_TREES["compose"])
     F.eval_field(f, 0.3)
     F.eval_field(f, 0.1 + 0.2j)
@@ -463,8 +543,9 @@ def test_tape_built_once_and_arena_bounded():
     want = F.eval_field(f, block)
     F.eval_field(f, block)
     tape = f.tape
+    assert tape.block == F._TAPE_BLOCK
     shape = F._ARENA.buf.shape
-    assert shape[1] == F._TAPE_BLOCK
+    assert shape == (tape.nrows * F._TAPE_BLOCK,)
     batch = _grid(111, -0.6, 0.6)  # three blocks and a remainder
     for _ in range(3):
         assert np.array_equal(F.eval_field(f, block), want)
