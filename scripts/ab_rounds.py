@@ -16,8 +16,10 @@ Prints every round, then the median seconds per round of each checkout,
 their ratio (change / parent), the rounds the change was faster in, the
 median minor page faults per round, each child's peak resident memory
 (``ru_maxrss``) after the warm-up and at the end, next to the size of its
-compiled tapes' arena then (``loctrace.fields._ARENA.buf.nbytes``; ``n/a``
-for a checkout without it), and the failed operations.
+compiled tapes' arena then (``loctrace.fields._ARENA.buf.nbytes``) and the
+number of row view sets the arena caches (``len(fields._ARENA.views)``),
+each ``n/a`` for a checkout without it, whether the child has imported
+``numpy.polynomial`` by the end, and the failed operations.
 Exits 1 if an operation failed, else 0.  Standard library only.
 """
 
@@ -49,10 +51,13 @@ for _ in sys.stdin:
     wall, outcomes = run.run_round(ops, watch)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     failed = [f"{name}: {why}" for name, _, why in outcomes if why is not None]
-    arena = getattr(getattr(fields, "_ARENA", None), "buf", None)
+    arena = getattr(fields, "_ARENA", None)
+    buf, views = getattr(arena, "buf", None), getattr(arena, "views", None)
     print(json.dumps({"wall": wall, "minflt": usage.ru_minflt - f0,
                       "maxrss_kb": usage.ru_maxrss, "failed": failed,
-                      "arena_bytes": None if arena is None else arena.nbytes}), flush=True)
+                      "arena_bytes": None if buf is None else buf.nbytes,
+                      "view_sets": None if views is None else len(views),
+                      "polynomial": "numpy.polynomial" in sys.modules}), flush=True)
 """
 
 
@@ -114,8 +119,12 @@ def main(argv=None):
         failed = sorted({f for r in v for f in r["failed"]})
         rss = f"{warm[k]['maxrss_kb'] / 1024:.2f} -> {v[-1]['maxrss_kb'] / 1024:.2f} MB"
         arena = " -> ".join(_mib(r["arena_bytes"]) for r in (warm[k], v[-1]))
+        views = " -> ".join("n/a" if r["view_sets"] is None else str(r["view_sets"])
+                            for r in (warm[k], v[-1]))
+        poly = "yes" if v[-1]["polynomial"] else "no"
         print(f"{k}: median minor faults per round {faults:.0f}; "
-              f"peak RSS after warm-up -> at end {rss} (tape arena {arena}); "
+              f"peak RSS after warm-up -> at end {rss} (tape arena {arena}, "
+              f"{views} view sets); numpy.polynomial imported: {poly}; "
               f"failed ops {len(failed)}")
         for f in failed:
             print(f"  {f}")

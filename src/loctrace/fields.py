@@ -26,11 +26,14 @@ batch of points a second time, runs a flat tape: the same jet rules
 recorded at order 0 as numpy operations on registers, run in one arena of
 reused block-sized rows.  The arena is bounded by bytes (``_ARENA_BYTES``,
 2 MiB): a tape with more rows than fit a whole quadrature block runs in
-halved sub-blocks instead.  Tapes are shared by structure: a module cache,
-keyed by the tree's distinct subtrees with their classes and attributes,
-hands every equal tree the tape recorded for the first.  A jet's keys depend
-on the tree and the order alone, so on every batch tape and interpreter give
-the same finite values, bit for bit but for the sign of a zero.
+halved sub-blocks instead.  The arena keeps one set of row views per rows x
+block; a shorter batch runs in the first points of those rows, so a tape run
+only on short batches still takes a whole block's rows, within the same
+budget.  Tapes are shared by structure: a module cache, keyed by the tree's
+distinct subtrees with their classes and attributes, hands every equal tree
+the tape recorded for the first.  A jet's keys depend on the tree and the
+order alone, so on every batch tape and interpreter give the same finite
+values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
@@ -984,13 +987,18 @@ def plateau_safe(f, z0):
 # taped, never when a tree is built.
 #
 # A register that holds an array gets a row of the module's one arena, a flat
-# buffer that grows to the most rows x points requested; a row is reused as
+# buffer that grows to the most rows x block requested; a row is reused as
 # soon as its register is dead.  A batch runs in blocks of _TAPE_BLOCK points,
 # one quadrature block, halved (down to _TAPE_MIN_BLOCK) while the tape's rows
 # would take more than _ARENA_BYTES, so the widest tape does not set the
 # arena's size: at 2 MiB, one core's L2 cache on the benchmark's 2-core Xeon
-# VM, only tapes of more than 32 rows split.  Every instruction is
-# elementwise, so the split gives the same bits.  Evaluation is serial.
+# VM, only tapes of more than 32 rows split.  The arena caches its rows'
+# views by (rows, block), not by batch length: a batch shorter than the
+# block, such as a level's last, runs in the first points of the block's
+# rows, so one view set serves every remainder.  A tape run only on short
+# batches thus takes a whole block's rows, still within _ARENA_BYTES.  Every
+# instruction is elementwise, so neither the split nor the short rows change
+# a bit.  Evaluation is serial.
 
 _TAPE_BLOCK = 4096
 _TAPE_MIN_BLOCK = 64
@@ -1024,17 +1032,19 @@ class _Arena:
         self.buf = np.empty(0, dtype=complex)
         self.views = {}
 
-    def rows(self, nrows, npts):
-        """Each row as a complex, a float and a bool array of npts entries."""
-        hit = self.views.get((nrows, npts))
+    def rows(self, nrows, block, npts):
+        """The first npts entries of each of nrows rows of block entries, as a
+        complex, a float and a bool array.  Views are cached per (nrows,
+        block), so a batch shorter than its tape's block is cut from them."""
+        hit = self.views.get((nrows, block))
         if hit is None:
-            if nrows * npts > len(self.buf):
-                self.buf = np.empty(nrows * npts, dtype=complex)
+            if nrows * block > len(self.buf):
+                self.buf = np.empty(nrows * block, dtype=complex)
                 self.views = {}
-            rows = list(self.buf[: nrows * npts].reshape(nrows, npts))
-            hit = rows + [r.view(d)[:npts] for d in _DTYPES[1:] for r in rows]
-            _keep(self.views, (nrows, npts), hit, _ARENA_VIEWS)
-        return hit
+            rows = list(self.buf[: nrows * block].reshape(nrows, block))
+            hit = rows + [r.view(d)[:block] for d in _DTYPES[1:] for r in rows]
+            _keep(self.views, (nrows, block), hit, _ARENA_VIEWS)
+        return hit if npts == block else [v[:npts] for v in hit]
 
 
 _ARENA = _Arena()
@@ -1327,7 +1337,7 @@ class _Tape:
         out = np.empty(n, dtype=complex) if out is None or len(out) < n else out[:n]
         for a in range(0, n, self.block):
             z = zflat[a : a + self.block]
-            env = [z, *_ARENA.rows(self.nrows, len(z)), *self.consts]
+            env = [z, *_ARENA.rows(self.nrows, self.block, len(z)), *self.consts]
             for kernel, d, s in self.code:
                 if len(s) == 2:
                     kernel(env[s[0]], env[s[1]], env[d])

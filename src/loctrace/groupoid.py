@@ -381,6 +381,19 @@ def _as_matrix(g):
     return None
 
 
+def _trim(c):
+    """c without its trailing zero coefficients, keeping at least one."""
+    nz = np.flatnonzero(c)
+    return c[: nz[-1] + 1 if len(nz) else 1]
+
+
+def _polymul(a, b):
+    """The product of two complex polynomials in ascending coefficients, as
+    numpy.polynomial.polynomial.polymul gives it: the convolution, with
+    trailing zeros trimmed from both factors and from the product."""
+    return _trim(np.convolve(_trim(a), _trim(b)))
+
+
 def compose_maps(g, h, domain=None):
     """g o h, collapsed to the simplest variant available."""
     if isinstance(g, IdentityMap):
@@ -397,9 +410,7 @@ def compose_maps(g, h, domain=None):
     if isinstance(g, PolyMap) and isinstance(h, PolyMap):
         comp = np.zeros(1, dtype=complex)
         for c in g.coeffs[::-1]:
-            comp = np.polynomial.polynomial.polymul(comp, h.coeffs)
-            if len(comp) == 0:
-                comp = np.zeros(1, dtype=complex)
+            comp = _polymul(comp, h.coeffs)
             comp[0] += c
         return PolyMap(comp, domain or h.domain)
     return ChainMap([g, h], domain or h.domain)

@@ -12,6 +12,9 @@ in (see ``fields``), stay block-sized too, below glibc's mmap threshold.  An
 integrand that itself integrates gets buffers of its own.  Evaluation and
 reduction run serially in a fixed order, so repeated runs agree bit for bit;
 across machines floats agree within rel 1e-12 / abs 1e-14; all else is exact.
+The rule's nodes and weights are a literal table, bit for bit numpy's
+``leggauss(8)`` on the benchmark's VM and the same on every machine, so the
+rule adds nothing to that drift.
 """
 
 from __future__ import annotations
@@ -21,7 +24,17 @@ import numpy as np
 __all__ = ["integrate_rect", "integrate_box", "QuadratureResult", "NonConvergenceError"]
 
 GL_ORDER = 8
-_nodes, _weights = np.polynomial.legendre.leggauss(GL_ORDER)
+# numpy.polynomial.legendre.leggauss(8) of numpy 2.4.6 on the benchmark's VM,
+# each float written as its repr, which reads back to the same bits.  leggauss
+# solves an eigenproblem through the machine's LAPACK; the literal table is
+# the same on every machine, and keeps numpy.polynomial and LAPACK out of a
+# process that only integrates.
+_nodes = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                   -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                   0.7966664774136267, 0.9602898564975362])
+_weights = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                     0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                     0.22238103445337443, 0.10122853629037706])
 # complex, as einsum would otherwise cast it per call into a fresh buffer
 _W2 = np.outer(_weights, _weights).astype(complex)
 # 64 cells of 64 points: a block's points and values, and each row of the

@@ -433,19 +433,27 @@ def test_tape_cache_is_bounded_oldest_out_first(monkeypatch):
 
 def test_arena_views_are_bounded_and_follow_the_buffer():
     arena = F._Arena()
-    first = arena.rows(3, 64)
-    assert arena.rows(3, 64) is first
-    for npts in range(1, F._ARENA_VIEWS + 5):
-        views = arena.rows(2, npts)
-        assert all(len(v) == npts for v in views) and len(views) == 6
+    first = arena.rows(3, 64, 64)
+    assert arena.rows(3, 64, 64) is first
+    for block in range(1, F._ARENA_VIEWS + 5):
+        views = arena.rows(2, block, block)
+        assert all(len(v) == block for v in views) and len(views) == 6
         assert len(arena.views) <= F._ARENA_VIEWS
-    grown = arena.rows(5, 128)  # a larger buffer drops the views of the old one
-    assert arena.buf.shape == (5 * 128,)  # one flat buffer of rows x points
+    grown = arena.rows(5, 128, 128)  # a larger buffer drops the views of the old one
+    assert arena.buf.shape == (5 * 128,)  # one flat buffer of rows x block
     assert all(np.shares_memory(v, arena.buf) for v in grown)
     assert all(np.shares_memory(v, arena.buf) for vs in arena.views.values() for v in vs)
     assert all(v.flags.c_contiguous for vs in arena.views.values() for v in vs)
-    arena.rows(3, 200)  # 600 entries fit in 640: no new buffer
+    arena.rows(3, 200, 200)  # 600 entries fit in 640: no new buffer
     assert arena.buf.shape == (5 * 128,)
+    # a short batch is cut from its block's views and adds no view set
+    keys = list(arena.views)
+    short = arena.rows(5, 128, 37)
+    assert list(arena.views) == keys and arena.buf.shape == (5 * 128,)
+    assert len(short) == len(grown) == 15
+    for v, w in zip(short, grown):
+        assert len(v) == 37 and v.dtype == w.dtype and v.flags.c_contiguous
+        assert v.__array_interface__["data"][0] == w.__array_interface__["data"][0]
 
 
 def _deep_product(n):
@@ -463,15 +471,15 @@ def _bits(v):
 
 
 class _RowsSeen(F._Arena):
-    """An arena that records the (rows, points) of every request."""
+    """An arena that records the (rows, block, points) of every request."""
 
     def __init__(self):
         super().__init__()
         self.seen = []
 
-    def rows(self, nrows, npts):
-        self.seen.append((nrows, npts))
-        return super().rows(nrows, npts)
+    def rows(self, nrows, block, npts):
+        self.seen.append((nrows, block, npts))
+        return super().rows(nrows, block, npts)
 
 
 def test_wide_tape_runs_in_halved_blocks(monkeypatch):
@@ -489,7 +497,8 @@ def test_wide_tape_runs_in_halved_blocks(monkeypatch):
     assert 16 * tape.nrows * tape.block <= F._ARENA_BYTES < 32 * tape.nrows * tape.block
     got = tape.run(z)
     assert np.array_equal(_bits(got), _bits(want))
-    assert arena.seen == [(40, 2048), (40, 2048), (40, len(z) - 4096)]
+    assert arena.seen == [(40, 2048, 2048), (40, 2048, 2048), (40, 2048, len(z) - 4096)]
+    assert list(arena.views) == [(40, 2048)]
     # the same tape in whole blocks gives the same bits
     monkeypatch.setattr(F, "_ARENA_BYTES", 1 << 30)
     whole = F._Tape(f.expr)
@@ -497,6 +506,30 @@ def test_wide_tape_runs_in_halved_blocks(monkeypatch):
     assert np.array_equal(_bits(whole.run(z)), _bits(got))
     zeros = np.signbit(got.imag[got.imag == 0])
     assert zeros.any() and not zeros.all()
+
+
+def test_remainder_runs_in_the_block_views(monkeypatch):
+    # two whole blocks and a remainder, then a batch shorter than a block:
+    # one view set serves them all, and the bits are the interpreter's
+    f = _deep_product(12)
+    x = np.linspace(-0.6, 0.6, 93)
+    z = (x[None, :] + 1j * x[:, None]).ravel()  # 8,649 points, the real axis among them
+    assert np.any(z.imag == 0) and len(z) % F._TAPE_BLOCK
+    arena = _RowsSeen()
+    monkeypatch.setattr(F, "_ARENA", arena)
+    tape = F._Tape(f.expr)
+    assert tape.block == F._TAPE_BLOCK
+    axis = np.flatnonzero(z.imag == 0)[0]
+    for batch in (z, z[axis - 200 : axis + 300]):
+        got = tape.run(batch)
+        want = F._jet_batch(f.expr, batch, 0)[0][(0, 0)]
+        assert np.array_equal(_bits(got), _bits(want))
+        zeros = np.signbit(got.imag[got.imag == 0])
+        assert zeros.any() and not zeros.all()
+    block = (tape.nrows, F._TAPE_BLOCK)
+    assert arena.seen == [(*block, 4096), (*block, 4096), (*block, len(z) - 8192), (*block, 500)]
+    assert list(arena.views) == [block]
+    assert arena.buf.shape == (tape.nrows * F._TAPE_BLOCK,)
 
 
 def test_arena_stays_within_its_byte_budget():

@@ -41,6 +41,34 @@ class TestMaps:
         z = 0.15 - 0.05j
         assert abs(c.apply(z) - a.apply(b.apply(z))) < 1e-14
 
+    def test_composed_polymaps_have_polymul_bits(self):
+        # Horner with numpy.polynomial's polymul is the reference: every
+        # coefficient bit for bit, trailing zeros of either sign included
+        from numpy.polynomial.polynomial import polymul
+
+        def reference(g, h):
+            comp = np.zeros(1, dtype=complex)
+            for c in g.coeffs[::-1]:
+                comp = polymul(comp, h.coeffs)
+                comp[0] += c
+            return comp
+
+        rng = np.random.default_rng(17)
+        zeros = [0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)]
+        for k in range(40):
+            maps = []
+            for _ in range(2):
+                n = rng.integers(2, 6)
+                c = rng.normal(size=n) + 1j * rng.normal(size=n)
+                c[rng.random(len(c)) < 0.3] = 0.0  # zeros inside too
+                c[1] = c[1] or 1.0
+                tail = [zeros[i] for i in rng.integers(0, 4, size=k % 4)]
+                maps.append(G.PolyMap(np.concatenate([c, tail])))
+            got = G.compose_maps(*maps).coeffs
+            want = reference(*maps)
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_identity_map(self):
         e = G.IdentityMap()
         assert e.apply(0.3j) == 0.3j

@@ -77,3 +77,40 @@ def test_no_unused_imports():
              if p.name != "__init__.py"]
     assert len(files) > 20
     assert [u for p in files for u in _unused_imports(p)] == []
+
+
+
+def _polynomial_refs(source):
+    """The lines of a module's source that name ``numpy.polynomial``: through
+    the ``np`` or ``numpy`` name, or by an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            hit = node.attr == "polynomial" and getattr(node.value, "id", None) in ("np", "numpy")
+        elif isinstance(node, ast.Import):
+            hit = any(a.name.split(".")[:2] == ["numpy", "polynomial"] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            mod = (node.module or "").split(".")
+            hit = mod[:2] == ["numpy", "polynomial"] or (
+                mod == ["numpy"] and any(a.name == "polynomial" for a in node.names))
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_numpy_polynomial_in_the_package():
+    # the quadrature rule is a literal table and polynomial products are
+    # convolutions, so numpy.polynomial's import, and the LAPACK call that
+    # leggauss makes, stay out of every process that uses the package
+    forms = ["x = np.polynomial.legendre.leggauss(8)", "import numpy.polynomial as P",
+             "from numpy.polynomial.polynomial import polymul", "from numpy import polynomial",
+             "y = numpy.polynomial"]
+    assert [_polynomial_refs(f"import numpy as np\n{f}") for f in forms] == [[2]] * len(forms)
+    assert _polynomial_refs("x = np.poly1d([1, 2])\nfrom numpy import convolve") == []
+    root = Path(__file__).resolve().parents[1] / "src" / "loctrace"
+    files = sorted(root.rglob("*.py"))
+    assert len(files) > 10
+    refs = [f"{p.name}:{line}" for p in files for line in _polynomial_refs(p.read_text())]
+    assert refs == []

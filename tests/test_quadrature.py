@@ -1,6 +1,11 @@
 """Adaptive panel integration against closed forms and scipy."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +20,46 @@ BLOCK_POINTS = 64 * 64  # 64 cells of 8 x 8 Gauss points
 def ring(x, y):
     # refines to levels of several blocks on (-2, 2, -2, 2) at tol=1e-10
     return np.exp(-20 * (np.hypot(x, y) - 1) ** 2) * (x + 0.3)
+
+
+def test_rule_is_numpys_gauss_legendre_table():
+    # the literal table is numpy's leggauss(8) to within 1 ulp on any machine
+    # (equal, bit for bit, where it was written down)
+    nodes, weights = np.polynomial.legendre.leggauss(Q.GL_ORDER)
+    for got, want in ((Q._nodes, nodes), (Q._weights, weights)):
+        assert got.dtype == np.float64 and got.shape == (Q.GL_ORDER,)
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+    assert np.array_equal(Q._nodes[::-1], -Q._nodes)
+    assert np.array_equal(Q._weights[::-1], Q._weights)
+    assert np.all(np.diff(Q._nodes) > 0) and np.all(Q._weights > 0)
+
+
+def test_rule_integrates_monomials_to_degree_15():
+    # summed exactly, so the error is the table's alone: numpy's outer weight
+    # is 58 ulps above the true one, which puts x^2 and x^4 off by 1.2e-15
+    nodes = [Fraction(x) for x in Q._nodes.tolist()]
+    weights = [Fraction(w) for w in Q._weights.tolist()]
+    for k in range(2 * Q.GL_ORDER):
+        exact = Fraction(2, k + 1) if k % 2 == 0 else 0
+        got = sum(w * x**k for w, x in zip(weights, nodes))
+        assert abs(got - exact) <= 1.5e-15, k
+        assert k % 2 == 0 or got == 0
+
+
+def test_integrating_imports_no_numpy_polynomial():
+    # numpy.polynomial is imported only on request; leggauss at import time
+    # brought it in, and its LAPACK call, in every process
+    src = Path(Q.__file__).resolve().parents[1]
+    code = ("import sys, loctrace\n"
+            "from loctrace import fields as F\n"
+            "from loctrace.quadrature import integrate_box\n"
+            "f = F.integrand(F.fmul(F.fz(), F.fzbar()))\n"
+            "r = integrate_box(f, (0, 1, 0, 1), tol=1e-10)\n"
+            "print(r.cells > 0, 'numpy.polynomial' in sys.modules)")
+    out = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["True", "False"]
 
 
 def test_polynomial_closed_form():
