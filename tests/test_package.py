@@ -79,7 +79,6 @@ def test_no_unused_imports():
     assert [u for p in files for u in _unused_imports(p)] == []
 
 
-
 def _polynomial_refs(source):
     """The lines of a module's source that name ``numpy.polynomial``: through
     the ``np`` or ``numpy`` name, or by an import."""

@@ -47,8 +47,8 @@ def test_rule_integrates_monomials_to_degree_15():
 
 
 def test_integrating_imports_no_numpy_polynomial():
-    # numpy.polynomial is imported only on request; leggauss at import time
-    # brought it in, and its LAPACK call, in every process
+    # numpy imports numpy.polynomial only on first use: a process that
+    # integrates never uses it, nor LAPACK, which leggauss would call
     src = Path(Q.__file__).resolve().parents[1]
     code = ("import sys, loctrace\n"
             "from loctrace import fields as F\n"
