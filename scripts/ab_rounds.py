@@ -13,13 +13,17 @@ workload's inputs at SEED (default 1, ``run.py``'s) untimed and times the
 calls as ``run.py`` does.
 
 Prints every round, then the median seconds per round of each checkout,
-their ratio (change / parent), the rounds the change was faster in, the
-median minor page faults per round, each child's peak resident memory
+their ratio (change / parent), the median and the interquartile range of
+the per-round ratios (an A/A run, a checkout against a copy of itself,
+shows how wide that range is by chance), the rounds the change was faster
+in, the median minor page faults per round, each child's peak resident memory
 (``ru_maxrss``) after the warm-up and at the end, next to the size of its
 compiled tapes' arena then (``loctrace.fields._ARENA.buf.nbytes``) and the
 number of row view sets the arena caches (``len(fields._ARENA.views)``),
 each ``n/a`` for a checkout without it, whether the child has imported
-``numpy.polynomial`` by the end, and the failed operations.
+``numpy.polynomial`` by the end, how many objects ``gc.collect()`` frees
+in the child after its last round (garbage that only the cyclic collector
+reclaims), and the failed operations.
 Exits 1 if an operation failed, else 0.  Standard library only.
 """
 
@@ -33,7 +37,7 @@ import sys
 
 # argv: the checkout, the workload, the seed; one round per line on stdin
 CHILD = """
-import importlib.util, json, os, resource, sys, types
+import gc, importlib.util, json, os, resource, sys, types
 root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 def load(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(root, "perfbench", name + ".py"))
@@ -58,6 +62,7 @@ for _ in sys.stdin:
                       "arena_bytes": None if buf is None else buf.nbytes,
                       "view_sets": None if views is None else len(views),
                       "polynomial": "numpy.polynomial" in sys.modules}), flush=True)
+print(json.dumps({"garbage": gc.collect()}), flush=True)
 """
 
 
@@ -82,8 +87,11 @@ class Child:
         return json.loads(line)
 
     def close(self):
+        """Ends the child; the objects its last gc.collect() freed, or None."""
         self.proc.stdin.close()
+        line = self.proc.stdout.readline()
         self.proc.wait()
+        return json.loads(line)["garbage"] if line else None
 
 
 def main(argv=None):
@@ -96,7 +104,7 @@ def main(argv=None):
     seed = int(argv[4]) if len(argv) == 5 else 1
     kids = {"parent": Child(parent, workload, seed), "change": Child(change, workload, seed)}
     got = {"parent": [], "change": []}
-    warm = {}
+    warm, garbage = {}, {}
     try:
         for name, kid in kids.items():
             warm[name] = kid.round()  # warm-up
@@ -107,13 +115,16 @@ def main(argv=None):
             a, b = got["parent"][-1]["wall"], got["change"][-1]["wall"]
             print(f"round {i + 1:3d} ({order[0]} first): parent {a:.3f} s  change {b:.3f} s")
     finally:
-        for kid in kids.values():
-            kid.close()
+        for name, kid in kids.items():
+            garbage[name] = kid.close()
     med = {k: statistics.median(r["wall"] for r in v) for k, v in got.items()}
     wins = sum(c["wall"] < p["wall"] for p, c in zip(got["parent"], got["change"]))
+    ratios = [c["wall"] / p["wall"] for p, c in zip(got["parent"], got["change"])]
+    q1, _, q3 = statistics.quantiles(ratios, n=4) if n > 1 else (ratios[0],) * 3
     print(f"{workload} seed {seed}, {n} rounds each")
     print(f"median wall: parent {med['parent']:.3f} s, change {med['change']:.3f} s, "
-          f"ratio {med['change'] / med['parent']:.3f}; change faster in {wins} of {n}")
+          f"ratio {med['change'] / med['parent']:.3f}; per-round ratios: median "
+          f"{statistics.median(ratios):.3f}, IQR {q3 - q1:.3f}; change faster in {wins} of {n}")
     for k, v in got.items():
         faults = statistics.median(r["minflt"] for r in v)
         failed = sorted({f for r in v for f in r["failed"]})
@@ -125,6 +136,7 @@ def main(argv=None):
         print(f"{k}: median minor faults per round {faults:.0f}; "
               f"peak RSS after warm-up -> at end {rss} (tape arena {arena}, "
               f"{views} view sets); numpy.polynomial imported: {poly}; "
+              f"gc.collect() after the last round frees {garbage[k]} objects; "
               f"failed ops {len(failed)}")
         for f in failed:
             print(f"  {f}")

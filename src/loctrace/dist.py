@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from . import fields as F
-from .quadrature import BLOCK_POINTS, NonConvergenceError, integrate_box, integrate_rect
+from .quadrature import (BLOCK_POINTS, NonConvergenceError, empty_aligned, integrate_box,
+                         integrate_rect)
 
 __all__ = [
     "N_MAX",
@@ -83,7 +84,7 @@ def _cauchy_pair(z0, psi, tol, max_depth):
         # block scratch as for f_far below; th and r are cast to complex in
         # it first, as a complex product of a float array would cast it into
         # a fresh block-sized temporary on every call
-        e_b, z_b = np.empty(BLOCK_POINTS, complex), np.empty(BLOCK_POINTS, complex)
+        e_b, z_b = empty_aligned(BLOCK_POINTS), empty_aligned(BLOCK_POINTS)
 
         # polar chart: d^2 z = r dr dtheta cancels the 1/r of the kernel
         def f_polar(r, th):
@@ -106,8 +107,8 @@ def _cauchy_pair(z0, psi, tol, max_depth):
         far_at = F.integrand(far)
         # block scratch, each array below the mmap threshold; a block's
         # values are read before the next block overwrites them
-        den_b, quot_b = np.empty(BLOCK_POINTS, complex), np.empty(BLOCK_POINTS, complex)
-        sq_b, safe_b = np.empty((2, BLOCK_POINTS)), np.empty(BLOCK_POINTS, bool)
+        den_b, quot_b = empty_aligned(BLOCK_POINTS), empty_aligned(BLOCK_POINTS)
+        sq_b, safe_b = empty_aligned((2, BLOCK_POINTS), float), empty_aligned(BLOCK_POINTS, bool)
 
         def f_far(z):
             vals, n = far_at(z), len(z)

@@ -23,28 +23,30 @@ node's jet rule) memoizes on node identity so that products built from
 common subexpressions do not pay twice; it serves one-shot values and every
 jet.  A quadrature integrand (``integrand``), and any field evaluated on a
 batch of points a second time, runs a flat tape: the same jet rules
-recorded at order 0 as numpy operations on registers, run in one arena of
-reused block-sized rows.  The arena is bounded by bytes (``_ARENA_BYTES``,
-2 MiB): a tape with more rows than fit a whole quadrature block runs in
-halved sub-blocks instead.  The arena keeps one set of row views per rows x
-block; a shorter batch runs in the first points of those rows, so a tape run
-only on short batches still takes a whole block's rows, within the same
-budget.  Tapes are shared by structure: a module cache, keyed by the tree's
-distinct subtrees with their classes and attributes, hands every equal tree
-the tape recorded for the first.  A jet's keys depend on the tree and the
-order alone, so on every batch tape and interpreter give the same finite
-values, bit for bit but for the sign of a zero.
+recorded at order 0 as numpy operations on registers, one flat tuple
+(kernel, output, *inputs) per instruction, run in one arena of reused
+block-sized rows that start on 64-byte cache lines.  The arena is bounded by
+bytes (``_ARENA_BYTES``, 2 MiB): a tape with more rows than fit a whole
+quadrature block runs in halved sub-blocks instead.  Recording makes no
+reference cycle, so the recorder and its registers are freed as soon as the
+tape is built.  Tapes are shared by structure: a module cache, keyed by the
+tree's distinct subtrees with their classes and attributes, hands every
+equal tree the tape recorded for the first.  A jet's keys depend on the tree
+and the order alone, so on every batch tape and interpreter give the same
+finite values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import weakref
 from functools import partial
 
 import numpy as np
 
 from .jets import Jet2
+from .quadrature import empty_aligned
 
 __all__ = [
     "UnsupportedOrderError",
@@ -946,7 +948,7 @@ def integrand(f):
     of a block of at most _TAPE_BLOCK points go into one buffer kept for the
     integrand's life, which the next call overwrites."""
     f.tape = f.tape or False
-    out = np.empty(_TAPE_BLOCK, dtype=complex)
+    out = empty_aligned(_TAPE_BLOCK)
     return lambda z: eval_field(f, z, out)
 
 
@@ -979,26 +981,30 @@ def plateau_safe(f, z0):
 # -(-x) = x, a + (-b) = a - b, (-a) + b = b - a, a - (-b) = a + b,
 # c (-x) = (-c) x and c / (-x) = (-c) / x for a constant c.  Each is exact in
 # IEEE arithmetic but for the sign of a zero.  Instructions whose results are
-# never read are dropped, except the checks.
+# never read are dropped, except the checks.  A tape instruction is one flat
+# tuple (kernel, output, *inputs) of operand indices; a check writes nothing
+# and names slot 0, the points.  Registers refer to their recorder weakly, so
+# reference counting frees the recorder and its registers once the tape is
+# built, leaving nothing to the cyclic collector.
 #
 # Tapes are shared by structure: ``_tape_of`` looks a tree's tape up by its
 # ``_structure``, which holds all that a jet rule or the recorder reads, so
 # equal keys record equal tapes.  The key is computed when a field is first
-# taped, never when a tree is built.
+# taped, never when a tree is built, and its walk makes no reference cycle.
 #
 # A register that holds an array gets a row of the module's one arena, a flat
 # buffer that grows to the most rows x block requested; a row is reused as
-# soon as its register is dead.  A batch runs in blocks of _TAPE_BLOCK points,
-# one quadrature block, halved (down to _TAPE_MIN_BLOCK) while the tape's rows
-# would take more than _ARENA_BYTES, so the widest tape does not set the
-# arena's size: at 2 MiB, one core's L2 cache on the benchmark's 2-core Xeon
-# VM, only tapes of more than 32 rows split.  The arena caches its rows'
-# views by (rows, block), not by batch length: a batch shorter than the
-# block, such as a level's last, runs in the first points of the block's
-# rows, so one view set serves every remainder.  A tape run only on short
-# batches thus takes a whole block's rows, still within _ARENA_BYTES.  Every
-# instruction is elementwise, so neither the split nor the short rows change
-# a bit.  Evaluation is serial.
+# soon as its register is dead.  The buffer, and so every row of a block of
+# 64 points or more, starts on a 64-byte cache line, not at glibc's 16 mod
+# 64.  A batch runs in blocks of _TAPE_BLOCK points, one quadrature block,
+# halved (down to _TAPE_MIN_BLOCK) while the tape's rows would take more than
+# _ARENA_BYTES, so the widest tape does not set the arena's size: at 2 MiB,
+# one core's L2 cache on the benchmark's 2-core Xeon VM, only tapes of more
+# than 32 rows split.  Row views are cached by (rows, block): a shorter
+# batch, such as a level's last, runs in the first points of its block's
+# rows, so a tape run only on short batches still takes a whole block's
+# rows, within _ARENA_BYTES.  Every instruction is elementwise, so neither
+# the split nor the short rows change a bit.  Evaluation is serial.
 
 _TAPE_BLOCK = 4096
 _TAPE_MIN_BLOCK = 64
@@ -1039,7 +1045,7 @@ class _Arena:
         hit = self.views.get((nrows, block))
         if hit is None:
             if nrows * block > len(self.buf):
-                self.buf = np.empty(nrows * block, dtype=complex)
+                self.buf = empty_aligned(nrows * block)
                 self.views = {}
             rows = list(self.buf[: nrows * block].reshape(nrows, block))
             hit = rows + [r.view(d)[:block] for d in _DTYPES[1:] for r in rows]
@@ -1058,21 +1064,21 @@ def _structure(expr):
     and -0.0, or 1 and 1.0, differ).  Shared and repeated subtrees give one
     entry, so the key depends on the tree's structure alone."""
     number = {}  # entry -> its number, in the order first met
-    seen = {}  # id(node) -> number
-
-    def part(v):
-        if isinstance(v, Node):
-            hit = seen.get(id(v))
-            if hit is None:
-                entry = (type(v), *(part(getattr(v, s)) for s in v.__slots__))
-                hit = seen[id(v)] = number.setdefault(entry, len(number))
-            return hit
-        if isinstance(v, tuple):
-            return tuple(part(t) for t in v)
-        return (type(v).__name__, repr(v))
-
-    part(expr)
+    _part(expr, number, {})
     return tuple(number)
+
+
+def _part(v, number, seen):
+    """The key part of a value; ``seen`` maps id(node) to its number."""
+    if isinstance(v, Node):
+        hit = seen.get(id(v))
+        if hit is None:
+            entry = (type(v), *(_part(getattr(v, s), number, seen) for s in v.__slots__))
+            hit = seen[id(v)] = number.setdefault(entry, len(number))
+        return hit
+    if isinstance(v, tuple):
+        return tuple(_part(t, number, seen) for t in v)
+    return (type(v).__name__, repr(v))
 
 
 def _tape_of(expr):
@@ -1099,7 +1105,7 @@ class _Reg:
     __slots__ = ("rec", "id", "dtype", "value", "neg")
 
     def __init__(self, rec, rid, dtype, value=None):
-        self.rec = rec
+        self.rec = weakref.proxy(rec)
         self.id = rid
         self.dtype = dtype
         self.value = value
@@ -1160,7 +1166,7 @@ class _Recorder(EvalCtx):
     """Evaluation context whose values are registers; ``code`` collects
     (kernel, output, inputs, pure) instructions."""
 
-    __slots__ = ("code", "nconsts", "seen", "nregs")
+    __slots__ = ("code", "nconsts", "seen", "nregs", "__weakref__")
 
     def __init__(self):
         super().__init__(None)
@@ -1267,9 +1273,9 @@ class _Recorder(EvalCtx):
 
 class _Tape:
     """A field's order-0 evaluation as a flat list of instructions on arena
-    rows: ``code`` holds (kernel, output, inputs) with operands as indices
-    into the run's operand list [z, the rows as complex, as float and as bool
-    arrays, the constants]."""
+    rows: ``code`` holds one flat tuple (kernel, output, *inputs) each, with
+    operands as indices into the run's operand list [z, the rows as complex,
+    as float and as bool arrays, the constants]."""
 
     __slots__ = ("code", "nrows", "block", "consts", "result")
 
@@ -1282,7 +1288,6 @@ class _Tape:
         last[res.id] = len(code)
         row, free = {}, []
         self.nrows = 0
-        placed = []
         for i, (kernel, out, srcs, pure) in enumerate(code):
             dying = [r for r in set(srcs) if r.id in row and last[r.id] == i]
             # an elementwise output may take the row of a dying input of its dtype
@@ -1294,7 +1299,6 @@ class _Tape:
             for r in dying:
                 if r not in early:
                     heapq.heappush(free, row[r.id])
-            placed.append((kernel, out, srcs))
 
         # a rewrite can leave a recorded constant unread: only read ones are kept
         consts = {r.id: r.value for r in (res, *(r for ins in code for r in ins[2]))
@@ -1308,8 +1312,8 @@ class _Tape:
                 return 0
             return 1 + _DTYPES.index(r.dtype) * self.nrows + row[r.id]
 
-        self.code = [(kernel, index(out) if out.id in row else 0,
-                      tuple(index(r) for r in srcs)) for kernel, out, srcs in placed]
+        self.code = [(kernel, index(out) if out.id in row else 0, *map(index, srcs))
+                     for kernel, out, srcs, _ in code]
         self.consts = [consts[rid] for rid in slot]
         self.result = index(res)
         self.block = _tape_block(self.nrows)
@@ -1338,13 +1342,13 @@ class _Tape:
         for a in range(0, n, self.block):
             z = zflat[a : a + self.block]
             env = [z, *_ARENA.rows(self.nrows, self.block, len(z)), *self.consts]
-            for kernel, d, s in self.code:
-                if len(s) == 2:
-                    kernel(env[s[0]], env[s[1]], env[d])
-                elif len(s) == 1:
-                    kernel(env[s[0]], env[d])
+            for ins in self.code:
+                if len(ins) == 4:
+                    ins[0](env[ins[2]], env[ins[3]], env[ins[1]])
+                elif len(ins) == 3:
+                    ins[0](env[ins[2]], env[ins[1]])
                 else:
-                    kernel(*[env[i] for i in s], env[d])
+                    ins[0](*[env[i] for i in ins[2:]], env[ins[1]])
             out[a : a + len(z)] = env[self.result]
         return out
 

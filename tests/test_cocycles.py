@@ -1,5 +1,6 @@
 """Localized trace: closed forms, trace property, transport, coboundaries."""
 
+import gc
 from collections import Counter
 
 import numpy as np
@@ -9,10 +10,11 @@ from scipy import integrate as si
 
 from loctrace import fields as F
 from loctrace import groupoid as G
-from loctrace.algebra import CrossedForm, WordCrossedForm, fc_field
+from loctrace.algebra import CrossedForm, WordCrossedForm, diff_nabla, fc_field
 from loctrace.cocycles import (
     ConjugatedAction,
     PlateauError,
+    _diag_sum,
     chern1,
     cyclic_defect,
     fundamental_class,
@@ -411,6 +413,28 @@ class TestUnitIntegrals:
         x = CrossedForm.single(act, act.unit, [[FormCoefficient({(1, 1): f})]])
         with pytest.raises(NonConvergenceError, match="unit integral"):
             integrate_units(x, tol=1e-12, max_depth=1)
+
+
+def test_recording_a_todd_tape_leaves_no_garbage():
+    # a Todd integrand of the benchmark's size: its tape's recorder and
+    # registers, and the walk that makes its cache key, form no reference
+    # cycle, so all of it is freed at once and nothing waits for the collector
+    act = kappa_action()
+    rng = np.random.default_rng(3)
+    a0, a1, a2 = (single0(act, act.by_name(n), rand_coeff(rng)) for n in "ccv")
+    x = a0.mul(diff_nabla(a1)).mul(diff_nabla(a2))
+    (key,) = [k for k in x.terms if x.label_of(k).cmap.is_identity_germ()]
+    expr = _diag_sum(x.terms[key], 1, 1).expr
+    gc.collect()
+    gc.disable()
+    try:
+        tape, structure = F._Tape(expr), F._structure(expr)
+        assert len(tape.code) > 150 and len(structure) > 100
+        del tape, structure
+        assert gc.collect() == 0
+        assert not any(isinstance(o, F._Reg) for o in gc.get_objects())
+    finally:
+        gc.enable()
 
 
 class TestCoboundaryCombinators:

@@ -160,6 +160,17 @@ def test_cauchy_pair_integrands_allocate_no_block_arrays(part, monkeypatch):
     assert peak < 4096 * 16 / 4
 
 
+@pytest.mark.parametrize("part", [0, 1], ids=["polar", "far"])
+def test_cauchy_pair_scratch_starts_on_a_cache_line(part, monkeypatch):
+    # an integrand returns its block of values in its own scratch
+    calls = _recorded(monkeypatch, D, ("integrate_rect", "integrate_box")[part])
+    _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
+    (f, _), = calls
+    r, th = np.linspace(0.0, 0.5, 999), np.linspace(0.0, 6.0, 999)
+    got = f(r, th) if part == 0 else f(r * np.exp(1j * th))
+    assert len(got) == 999 and got.__array_interface__["data"][0] % 64 == 0
+
+
 def test_blocks_are_all_taped(batches_never_interpreted):
     # the anchor inside the support, so both the near and the far parts run
     got, _ = _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)

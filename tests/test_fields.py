@@ -456,6 +456,22 @@ def test_arena_views_are_bounded_and_follow_the_buffer():
         assert v.__array_interface__["data"][0] == w.__array_interface__["data"][0]
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_tape_rows_and_values_start_on_cache_lines(monkeypatch):
+    arena = F._Arena()
+    for nrows, block, npts in [(3, 4096, 4096), (40, 2048, 907), (7, 64, 64)]:
+        assert all(_address(v) % 64 == 0 for v in arena.rows(nrows, block, npts))
+    f = F.field_from_sexp(TAPE_TREES["compose"])
+    monkeypatch.setattr(F, "_ARENA", arena)
+    ev = F.integrand(f)
+    z = _tape_blocks()["mixed"]
+    assert _address(ev(z)) % 64 == 0  # the integrand's block of values
+    assert _address(arena.buf) % 64 == 0
+
+
 def _deep_product(n):
     """n factors z + c_k, each live until the product of those after it is
     done: a tape of n rows.  The c_k are real of both signs, so on the real
@@ -629,7 +645,7 @@ def test_tape_constants_are_all_read(sexp):
     # a rewrite such as x * -1 -> -x must not leave its -1 among the operands
     tape = F._Tape(F.field_from_sexp(sexp).expr)
     first = 1 + 3 * tape.nrows  # constants follow the rows
-    read = {i for _, _, srcs in tape.code for i in srcs if i >= first}
+    read = {i for _, _, *srcs in tape.code for i in srcs if i >= first}
     read |= {tape.result} if tape.result >= first else set()
     assert read == set(range(first, first + len(tape.consts)))
 
@@ -646,6 +662,78 @@ def test_recorder_absorbs_negated_subtrahends_and_divisors():
     assert out is q and kernel is np.divide and srcs[0].value == -2.0 and srcs[1] is w
     live = F._Tape._live(rec.code, q)
     assert [ins[0] for ins in live] == [np.multiply, np.divide]
+
+
+def test_flat_instructions_of_every_arity_match_the_interpreter():
+    # a tape instruction is one flat tuple (kernel, output, *inputs): kernels
+    # of one, two and three inputs, and domain checks, which write nothing
+    # and so name slot 0, the points, as their output
+    f = F.field_from_sexp("(deriv 1 1 (recip (+ (c -0.25 0) (* z (bump 0.1 0 0.2 0.45)))))")
+    tape = F._Tape(f.expr)
+    assert {len(ins) - 2 for ins in tape.code} == {1, 2, 3}
+    checks = [ins for ins in tape.code if getattr(ins[0], "func", None) is F._k_nonvanishing]
+    assert len(checks) == 1 and checks[0][1] == 0 and len(checks[0]) == 3
+    assert all(isinstance(i, int) for ins in tape.code for i in ins[1:])
+    for z in _tape_blocks().values():
+        assert np.array_equal(tape.run(z), F._jet_batch(f.expr, z, 0)[0][(0, 0)])
+    # 0.25 on the cutoff's plateau: the reciprocal vanishes there
+    bad = np.array([0.5j, 0.25, -0.3])
+    with pytest.raises(F.FieldDomainError) as interpreted:
+        F._jet_batch(f.expr, bad, 0)
+    with pytest.raises(F.FieldDomainError) as taped:
+        tape.run(bad)
+    assert str(taped.value) == str(interpreted.value) == "reciprocal of a vanishing field (Recip)"
+
+
+_SPECIAL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.5, -2.5]
+
+
+def _same_bits_but_nan_payloads(got, want):
+    """Equal bits wherever want is not NaN, and NaN where it is."""
+    nan = np.isnan(want.view(float))
+    return np.array_equal(np.isnan(got.view(float)), nan) and np.array_equal(
+        got.view(float).view(np.uint64)[~nan], want.view(float).view(np.uint64)[~nan])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN and inf operands
+def test_select_kernels_give_the_interpreters_bits():
+    # the tape's where and add_where against EvalCtx's, on zeros of both
+    # signs, NaNs of both signs and infinities, in the values and in the
+    # base; a constant and the plateau's bools as well.  Where both terms of
+    # a sum are NaN the interpreter's masked add may keep the other's payload
+    rng = np.random.default_rng(5)
+    n = 256
+    mask = rng.uniform(size=n) < 0.5
+    a, b = rng.choice(_SPECIAL, n), rng.choice(_SPECIAL, n)
+    v, base = (rng.choice(_SPECIAL, n) + 1j * rng.choice(_SPECIAL, n) for _ in range(2))
+    ctx = F.EvalCtx(n)
+    for x, y in [(a, b), (a, 0.5), (a, ~mask)]:
+        got = np.empty(n)
+        F._k_where(mask, x, y, got)
+        assert np.array_equal(_bits(got), _bits(ctx.where(mask, x, y)))
+    for b0 in (0j, complex(-0.0, 0.0), base):
+        got = np.empty(n, dtype=complex)
+        F._k_add_where(b0, v, mask, got)
+        want = ctx.add_where(np.broadcast_to(b0, n), v, mask)
+        assert _same_bits_but_nan_payloads(got, want)
+        assert np.array_equal(_bits(got[~mask]), _bits(want[~mask]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN points
+@pytest.mark.parametrize("name", ["bump", "bump-of-map", "deriv-1", "deriv-2", "compose"])
+def test_cutoff_tapes_give_the_interpreters_bits_on_every_kind_of_point(name):
+    # points on the plateau, in the annulus, outside the support and NaN,
+    # zeros of both signs among them
+    f = F.field_from_sexp(TAPE_TREES[name])
+    r = np.array([0.0, 0.15, 0.3, 0.4, 0.44, 0.6, 0.9, 2.0])
+    z = np.concatenate([0.1 + np.outer(r, np.exp(1j * np.linspace(0, 2 * np.pi, 9))).ravel(),
+                        [0.1, -0.0, complex(-0.9, -0.0), complex(math.nan, 0.0),
+                         complex(0.2, math.nan), complex(math.nan, math.nan)]])
+    tape = F._Tape(f.expr)
+    assert F._k_where in {ins[0] for ins in tape.code}
+    got = tape.run(z)
+    assert np.isnan(got[-3:]).all() and np.isfinite(got[:-3]).all()
+    assert _same_bits_but_nan_payloads(got, F._jet_batch(f.expr, z, 0)[0][(0, 0)])
 
 
 @pytest.mark.parametrize("c0, raises", [

@@ -113,3 +113,15 @@ def test_no_numpy_polynomial_in_the_package():
     assert len(files) > 10
     refs = [f"{p.name}:{line}" for p in files for line in _polynomial_refs(p.read_text())]
     assert refs == []
+
+
+def test_no_module_of_the_package_imports_gc():
+    # tapes and their cache keys are built without reference cycles, so the
+    # package leaves its garbage to reference counting alone
+    root = Path(__file__).resolve().parents[1] / "src" / "loctrace"
+    files = sorted(root.rglob("*.py"))
+    assert len(files) > 10
+    found = [f"{p.name}:{node.lineno}" for p in files for node in ast.walk(ast.parse(p.read_text()))
+             if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
+             or (isinstance(node, ast.ImportFrom) and node.module == "gc")]
+    assert found == []

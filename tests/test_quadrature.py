@@ -213,6 +213,22 @@ def test_idle_buffers_hold_one_block(monkeypatch):
         assert bufs.vals.nbytes <= BLOCK_POINTS * 16
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_block_buffers_start_on_cache_lines():
+    # malloc aligns to 16 bytes only, and glibc's mmap header puts a large
+    # block at 16 mod 64, where every row of a block straddles cache lines
+    for shape, dtype in [(1, complex), (4096, complex), (3, bool), (8193, float), ((2, 5), float)]:
+        a = Q.empty_aligned(shape, dtype)
+        assert a.shape == np.empty(shape).shape and a.dtype == dtype and _address(a) % 64 == 0
+        a[:] = 1  # writable, and all of it
+    bufs = Q._Buffers()
+    assert _address(bufs.pts) % 64 == 0 and _address(bufs.vals) % 64 == 0
+    assert len(bufs.pts) == len(bufs.vals) == BLOCK_POINTS
+
+
 def _add_in_a_loop(total, parts):
     for p in parts:
         total += p
