@@ -17,10 +17,12 @@ their ratio (change / parent), the median and the interquartile range of
 the per-round ratios (an A/A run, a checkout against a copy of itself,
 shows how wide that range is by chance), the rounds the change was faster
 in, the median minor page faults per round, each child's peak resident memory
-(``ru_maxrss``) after the warm-up and at the end, next to the size of its
-compiled tapes' arena then (``loctrace.fields._ARENA.buf.nbytes``) and the
-number of row view sets the arena caches (``len(fields._ARENA.views)``),
-each ``n/a`` for a checkout without it, whether the child has imported
+(``ru_maxrss``) after the warm-up, after round N/2 and at the end (a peak
+that still rises after round N/2 grows with the number of rounds run), the
+size of its compiled tapes' arena after the warm-up and at the end
+(``loctrace.fields._ARENA.buf.nbytes``) and the number of row view sets the
+arena caches then (``len(fields._ARENA.views)``), each ``n/a`` for a
+checkout without it, whether the child has imported
 ``numpy.polynomial`` by the end, how many objects ``gc.collect()`` frees
 in the child after its last round (garbage that only the cyclic collector
 reclaims), and the failed operations.
@@ -128,13 +130,15 @@ def main(argv=None):
     for k, v in got.items():
         faults = statistics.median(r["minflt"] for r in v)
         failed = sorted({f for r in v for f in r["failed"]})
-        rss = f"{warm[k]['maxrss_kb'] / 1024:.2f} -> {v[-1]['maxrss_kb'] / 1024:.2f} MB"
+        rss = " -> ".join(f"{r['maxrss_kb'] / 1024:.2f}"
+                          for r in (warm[k], v[max(n // 2 - 1, 0)], v[-1]))
         arena = " -> ".join(_mib(r["arena_bytes"]) for r in (warm[k], v[-1]))
         views = " -> ".join("n/a" if r["view_sets"] is None else str(r["view_sets"])
                             for r in (warm[k], v[-1]))
         poly = "yes" if v[-1]["polynomial"] else "no"
         print(f"{k}: median minor faults per round {faults:.0f}; "
-              f"peak RSS after warm-up -> at end {rss} (tape arena {arena}, "
+              f"peak RSS after warm-up -> round {max(n // 2, 1)} -> at end {rss} MB "
+              f"(tape arena {arena}, "
               f"{views} view sets); numpy.polynomial imported: {poly}; "
               f"gc.collect() after the last round frees {garbage[k]} objects; "
               f"failed ops {len(failed)}")

@@ -21,8 +21,10 @@ infinity and is kept separate from the isolated case.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
+import weakref
 
 import numpy as np
 
@@ -433,8 +435,9 @@ def _dedupe(points, tol=FIXPOINT_DEDUPE):
 
 
 def _memo(g, name):
-    """A cache kept on the map object; labels intern their maps, so it lives
-    as long as the action."""
+    """A cache kept on the map object.  Labels intern their maps, so it lives
+    as long as the action that holds the label, and reference counting frees
+    it with the action: labels refer to their action weakly."""
     return g.__dict__.setdefault(name, {})
 
 
@@ -447,6 +450,14 @@ def fixed_points(g, region=None, grid=NEWTON_GRID):
     """Isolated fixed points of g inside the region, as a new list.  Identity
     germs have no isolated fixed points and return the empty list.  Each map
     searches a region, told apart by its exact defining numbers, once.
+
+    Fractional linear and polynomial maps take their candidates from the
+    roots of g(z) - z (times the denominator): exact zero roots are stripped
+    first, a linear or quadratic core is solved in closed form (the quadratic
+    by the stable formula on a correctly rounded discriminant, within a few
+    ulps of the exact roots of the rounded coefficients, near-double roots
+    included), and only a core of degree 3 or more goes to the companion
+    matrix's eigenvalues.  Other maps use Newton's method from a grid.
 
     Candidates within FIXPOINT_CLUSTER of each other are taken for one
     multiple fixed point that rounding split.  When they do not merge into one
@@ -479,12 +490,11 @@ def _find_fixed_points(g, region, grid):
             # it into two spurious simple roots
             cands = [(g.a - g.d) / (2.0 * g.c)]
         else:
-            cands = list(np.roots([g.c, g.d - g.a, -g.b]))
+            cands = _roots([g.c, g.d - g.a, -g.b])
     elif isinstance(g, PolyMap):
         c = g.coeffs.copy()
         c[1] -= 1.0
-        # descending order for the companion-matrix solver
-        cands = [] if np.all(np.abs(c) == 0) else list(np.roots(c[::-1]))
+        cands = _roots(c[::-1])
     else:
         cands = _newton_fixed_points(g, region, grid)
     inside = [complex(p) for p in cands if bool(np.all(region.contains(p)))]
@@ -501,6 +511,61 @@ def _find_fixed_points(g, region, grid):
         out.append(hit[0])
         pts = [p for p in pts if abs(p - hit[0]) > hit[1]]
     return out
+
+
+def _roots(p):
+    """The roots of the polynomial with descending coefficients p, as a list
+    of complex numbers; none for the zero polynomial.  As numpy.roots does,
+    it strips leading zeros and the exact zero roots (trailing zeros), which
+    come last.  A linear core gives -p1/p0, numpy.roots' 1x1 eigenvalue bit
+    for bit.  A quadratic core a z^2 + b z + c takes the stable quadratic
+    formula: q = -(b + s sqrt(b^2 - 4ac))/2, with the sign s that makes the
+    sum add, and the roots q/a and c/q.  Only a core of degree 3 or more goes
+    to numpy.roots, whose companion-matrix eigenvalues come from LAPACK."""
+    p = np.asarray(p, dtype=complex)
+    nz = np.flatnonzero(p)
+    if len(nz) == 0:
+        return []
+    core, zeros = p[nz[0] : nz[-1] + 1], [0j] * (len(p) - 1 - nz[-1])
+    if len(core) == 1:
+        return zeros
+    if len(core) == 2:
+        return [complex((-core[1:] / core[0])[0]), *zeros]
+    if len(core) == 3:
+        a, b, c = (complex(e) for e in core)
+        sq = cmath.sqrt(_discriminant(a, b, c))
+        if (b.conjugate() * sq).real < 0.0:
+            sq = -sq
+        q = -0.5 * (b + sq)
+        return [q / a, c / q, *zeros]
+    return [complex(r) for r in np.roots(core)] + zeros
+
+
+def _discriminant(a, b, c):
+    """b^2 - 4ac, each part correctly rounded, so a near-double root loses no
+    digits to cancellation before the square root."""
+    ar4, ai4 = 4.0 * a.real, 4.0 * a.imag
+    re = _sum_of_products((b.real, b.real), (-b.imag, b.imag), (-ar4, c.real), (ai4, c.imag))
+    im = _sum_of_products((2.0 * b.real, b.imag), (-ar4, c.imag), (-ai4, c.real))
+    return complex(re, im)
+
+
+def _sum_of_products(*pairs):
+    """The sum of x * y over the pairs, correctly rounded: each product is
+    its rounded value plus its exact error (Dekker's two-product, with
+    Veltkamp's split at 2^27 + 1), and math.fsum adds the parts exactly."""
+    parts = []
+    for x, y in pairs:
+        p = x * y
+        (xh, xl), (yh, yl) = _split(x), _split(y)
+        parts += (p, ((xh * yh - p) + xh * yl + xl * yh) + xl * yl)
+    return math.fsum(parts)
+
+
+def _split(x):
+    t = 134217729.0 * x
+    hi = t - (t - x)
+    return hi, x - hi
 
 
 def _merge_multiple(g, cluster):
@@ -631,10 +696,15 @@ def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, label=None):
 
 
 class GroupLabel:
+    """One interned group element: its key, its map and its name.  The label
+    refers to its action weakly (a weakref.proxy), so an action and its labels
+    form no reference cycle.  Code that reads .action holds the action too, as
+    a CrossedForm does through its own action attribute."""
+
     __slots__ = ("action", "key", "cmap", "index", "name")
 
     def __init__(self, action, key, cmap, index, name):
-        self.action = action
+        self.action = weakref.proxy(action)
         self.key = key
         self.cmap = cmap
         self.index = index
@@ -647,7 +717,11 @@ class GroupLabel:
 class GroupAction:
     """Label bookkeeping for a group acting by conformal maps.  Labels are
     interned: equal group elements always come back as the same object, so
-    they can key dictionaries directly."""
+    they can key dictionaries directly.  The action holds its labels and each
+    label refers back to it weakly, so the action, its labels, their maps and
+    the maps' trees are freed by reference counting once the last holder of
+    the action (a CrossedForm, say) is gone; a label used after that raises
+    ReferenceError on .action."""
 
     def __init__(self, domain):
         self.domain = domain or F.WholePlane()

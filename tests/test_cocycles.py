@@ -437,6 +437,40 @@ def test_recording_a_todd_tape_leaves_no_garbage():
         gc.enable()
 
 
+def test_actions_leave_no_garbage():
+    # labels refer to their action weakly, so an action with its labels,
+    # maps, trees and fixed-point caches is freed by reference counting
+    rng = np.random.default_rng(4)
+    gc.collect()
+    gc.disable()
+    try:
+        act = kappa_action()
+        c, v = act.by_name("c"), act.by_name("v")
+        x = single0(act, c, rand_coeff(rng)).mul(single0(act, v, rand_coeff(rng)))
+        assert x.label_of(next(iter(x.terms))) is act.compose(c, v)
+        phi_trace(x)
+        mob = std_mobius_action()
+        a, b = mob.by_name("a"), mob.by_name("b")
+        ab = mob.compose(a, mob.compose(b, mob.inverse(a)))
+        assert mob.compose(mob.compose(a, b), mob.inverse(a)) is ab
+        free = G.FreeGeneratorsAction(
+            {"s": G.MobiusMap([[1.0, 0.2], [0.3, 1.06]]), "t": G.AffineMap(0.5)},
+            F.Disk(0.0, 0.6),
+        )
+        g = free.generator("s")
+        word = free.compose(g, free.compose(free.generator("t"), free.inverse(g)))
+        assert word.name == "s*t*s^-1" and free.compose(word, g).key[-1] == ("t", 1)
+        phi_trace(single0(free, word, rand_coeff(rng)))
+        h = G.MobiusMap([[1.0, 0.1], [0.05, 1.0]])
+        act2, moved = transport_coordinates(single0(mob, ab, rand_coeff(rng)), h)
+        assert isinstance(act2, ConjugatedAction) and moved.action is act2
+        phi_trace(moved)
+        del act, c, v, x, mob, a, b, ab, free, g, word, h, act2, moved
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 class TestCoboundaryCombinators:
     class Toy:
         """Tiny matrix algebra so the combinators can be hand-checked."""

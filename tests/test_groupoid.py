@@ -1,5 +1,7 @@
 """Conformal germs, fixed points, local orders, and group actions."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -338,6 +340,95 @@ class TestFixedPoints:
         assert abs(fps[0] - 0.0) < 1e-10
         assert abs(fps[1] - 0.5) < 1e-10
 
+    def test_no_lapack_to_degree_two(self, monkeypatch):
+        # zero roots are stripped and linear and quadratic cores are solved
+        # in closed form; only a cubic core or higher reaches numpy.roots
+        def no_roots(p):
+            raise AssertionError(f"numpy.roots reached with {p}")
+
+        germs = [  # criterion 5's, with their fixed points in the disk of radius 3
+            ([0.0, 2.0], 1), ([0.0, 1.0, 1.0], 1), ([0.0, 1.0, 0.5, 0.25], 2),
+            ([0.0, 1.0, 0.0, 1.0, 0.3], 1),
+        ]
+        maps = [
+            (G.MobiusMap([[1.5 + 0.5j, 0.25], [1.0, 0.5 - 0.5j]]), 2),  # loxodromic
+            (G.AffineMap(2.0, 0.3), 1),
+            *((G.PolyMap(c), count) for c, count in germs),
+            (G.PolyMap([0.3, 1.0]), 0),  # core of degree 0
+            (G.PolyMap([0.2, 0.5]), 1),  # degree 1
+            (G.PolyMap([0.06, 0.5, 1.0]), 2),  # degree 2: 0.2 and 0.3
+        ]
+        monkeypatch.setattr(np, "roots", no_roots)
+        for g, count in maps:
+            fps = G.fixed_points(g, F.Disk(0.0, 3.0))
+            assert len(fps) == count, g
+            assert all(abs(g.apply(z) - z) < 1e-12 for z in fps), g
+
+    def test_cubic_core_keeps_numpy_roots_bits(self, monkeypatch):
+        c = np.polynomial.polynomial.polyfromroots([0.1, -0.2, 0.35]).astype(complex)
+        c[1] += 1.0
+        calls, roots = [], np.roots
+        monkeypatch.setattr(np, "roots", lambda p: calls.append(p) or roots(p))
+        got = sorted(G.fixed_points(G.PolyMap(c), F.Disk(0.0, 1.0)), key=lambda z: z.real)
+        (core,) = calls
+        assert len(core) == 4
+        assert got == sorted(map(complex, roots(core)), key=lambda z: z.real)
+        assert np.allclose(got, [-0.2, 0.1, 0.35], atol=1e-14)
+
+    def test_discriminant_is_correctly_rounded(self):
+        rng = np.random.default_rng(23)
+        for i in range(2000):
+            a, b, c = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-6, 6)
+                       for _ in range(3))
+            if i % 2:  # b^2 within a few ulps of 4ac: all but the last bits cancel
+                r = complex(*rng.normal(size=2))
+                b, c = -2.0 * a * r * (1.0 + 1e-12 * rng.normal()), a * r * r
+            br, bi, ar, ai, cr, ci = map(
+                Fraction, (b.real, b.imag, a.real, a.imag, c.real, c.imag)
+            )
+            want = complex(float(br * br - bi * bi - 4 * (ar * cr - ai * ci)),
+                           float(2 * br * bi - 4 * (ar * ci + ai * cr)))
+            assert G._discriminant(a, b, c) == want
+
+    def test_closed_form_roots_against_mpmath(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(19)
+
+        def rel_errors(got, p):
+            a, b, c = (mp.mpc(complex(e)) for e in p)
+            sq = mp.sqrt(b * b - 4 * a * c)
+            out = []
+            for w in ((-b + sq) / (2 * a), (-b - sq) / (2 * a)):
+                near = min(got, key=lambda z: abs(mp.mpc(z) - w))
+                out.append(float(abs(mp.mpc(near) - w) / abs(w)))
+            return out
+
+        closed, lapack = [], []
+        with mp.workdps(40):
+            for i in range(500):
+                z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                if i % 3 == 0:  # generic
+                    m = z
+                elif i % 3 == 1:  # near the identity
+                    m = np.eye(2) + 10.0 ** rng.uniform(-6, -1) * z
+                else:  # near a conjugated parabolic
+                    h = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                    par = [[1.0, 0.0], [rng.normal() + 1j * rng.normal(), 1.0]]
+                    m = h @ par @ np.linalg.inv(h) + 10.0 ** rng.uniform(-6, -1) * z
+                g = G.MobiusMap(m)
+                if abs(g.c) <= 1e-14 or abs((g.a + g.d) ** 2 - 4.0) <= G.PSL2_ATOL:
+                    continue
+                p = [g.c, g.d - g.a, -g.b]
+                closed += rel_errors(G._roots(p), p)
+                lapack += rel_errors(list(np.roots(p)), p)
+        assert len(closed) > 900
+        assert max(closed) <= 1e-15
+        assert np.median(closed) <= np.median(lapack)
+        for _ in range(200):  # linear cores, with and without zero roots
+            p = rng.normal(size=2) + 1j * rng.normal(size=2)
+            for q in (p, [*p, 0.0, 0.0], [0.0, *p]):
+                assert G._roots(q) == [complex(r) for r in np.roots(q)]
+
 
 class TestLocalOrder:
     def test_hyperbolic_order_one(self):
@@ -445,6 +536,14 @@ class TestActions:
         s, t = act.generator("s"), act.generator("t")
         assert s != t
         assert abs(s.cmap.apply(0.2) - t.cmap.apply(0.2)) < 1e-15
+
+    def test_label_refers_to_its_action_weakly(self):
+        act = kappa_action()
+        c = act.by_name("c")
+        assert c.action.compose(c, act.unit) is c
+        del act
+        with pytest.raises(ReferenceError):
+            c.action.unit
 
     def test_cyclic_action(self):
         th = 2 * np.pi / 3

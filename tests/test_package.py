@@ -125,3 +125,20 @@ def test_no_module_of_the_package_imports_gc():
              if (isinstance(node, ast.Import) and any(a.name == "gc" for a in node.names))
              or (isinstance(node, ast.ImportFrom) and node.module == "gc")]
     assert found == []
+
+
+def test_numpy_roots_is_named_in_one_function():
+    # fixed points solve linear and quadratic cores in closed form; only the
+    # root helper hands a core of degree 3 or more to numpy.roots (LAPACK)
+    root = Path(__file__).resolve().parents[1] / "src" / "loctrace"
+    found = set()
+    for p in sorted(root.rglob("*.py")):
+        tree = ast.parse(p.read_text())
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "roots" and (
+                isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")
+            ):
+                owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                found.add(f"{p.name}:{'.'.join(owner) or '<module>'}")
+    assert found == {"groupoid.py:_roots"}
