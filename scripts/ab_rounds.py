@@ -21,8 +21,11 @@ in, the median minor page faults per round, each child's peak resident memory
 that still rises after round N/2 grows with the number of rounds run), the
 size of its compiled tapes' arena after the warm-up and at the end
 (``loctrace.fields._ARENA.buf.nbytes``) and the number of row view sets the
-arena caches then (``len(fields._ARENA.views)``), each ``n/a`` for a
-checkout without it, whether the child has imported
+arena caches then (``len(fields._ARENA.views)``), the rows of the widest
+tape in the tape cache (``fields._TAPES``) at the end and how many of its
+tapes run in blocks below ``fields._TAPE_BLOCK``, and the seconds the
+warm-up round spent recording tapes (in ``fields._Tape.__init__``), each
+``n/a`` for a checkout without it, whether the child has imported
 ``numpy.polynomial`` by the end, how many objects ``gc.collect()`` frees
 in the child after its last round (garbage that only the cyclic collector
 reclaims), and the failed operations.
@@ -39,7 +42,7 @@ import sys
 
 # argv: the checkout, the workload, the seed; one round per line on stdin
 CHILD = """
-import gc, importlib.util, json, os, resource, sys, types
+import gc, importlib.util, json, os, resource, sys, time, types
 root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
 def load(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(root, "perfbench", name + ".py"))
@@ -51,18 +54,36 @@ run.import_loctrace()
 from loctrace import fields
 build = load("workloads").WORKLOADS[workload]
 watch = types.SimpleNamespace(unconverged=0)
+recording = None
+if hasattr(fields, "_Tape"):  # time each tape's recording
+    recording, record = [0.0], fields._Tape.__init__
+    def timed(self, *args):
+        t0 = time.perf_counter()
+        record(self, *args)
+        recording[0] += time.perf_counter() - t0
+    fields._Tape.__init__ = timed
 for _ in sys.stdin:
     ops = build(seed)
+    if recording is not None:
+        recording[0] = 0.0
     f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     wall, outcomes = run.run_round(ops, watch)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     failed = [f"{name}: {why}" for name, _, why in outcomes if why is not None]
     arena = getattr(fields, "_ARENA", None)
     buf, views = getattr(arena, "buf", None), getattr(arena, "views", None)
+    tapes, whole = getattr(fields, "_TAPES", None), getattr(fields, "_TAPE_BLOCK", None)
+    try:
+        widest = max((t.nrows for t in tapes.values()), default=0)
+        split = sum(t.block < whole for t in tapes.values())
+    except (AttributeError, TypeError):
+        widest = split = None
     print(json.dumps({"wall": wall, "minflt": usage.ru_minflt - f0,
                       "maxrss_kb": usage.ru_maxrss, "failed": failed,
                       "arena_bytes": None if buf is None else buf.nbytes,
                       "view_sets": None if views is None else len(views),
+                      "widest": widest, "split": split,
+                      "record_s": None if recording is None else recording[0],
                       "polynomial": "numpy.polynomial" in sys.modules}), flush=True)
 print(json.dumps({"garbage": gc.collect()}), flush=True)
 """
@@ -70,6 +91,10 @@ print(json.dumps({"garbage": gc.collect()}), flush=True)
 
 def _mib(nbytes):
     return "n/a" if nbytes is None else f"{nbytes / 2**20:.2f} MiB"
+
+
+def _or_na(value):
+    return "n/a" if value is None else str(value)
 
 
 class Child:
@@ -133,13 +158,17 @@ def main(argv=None):
         rss = " -> ".join(f"{r['maxrss_kb'] / 1024:.2f}"
                           for r in (warm[k], v[max(n // 2 - 1, 0)], v[-1]))
         arena = " -> ".join(_mib(r["arena_bytes"]) for r in (warm[k], v[-1]))
-        views = " -> ".join("n/a" if r["view_sets"] is None else str(r["view_sets"])
-                            for r in (warm[k], v[-1]))
+        views = " -> ".join(_or_na(r["view_sets"]) for r in (warm[k], v[-1]))
         poly = "yes" if v[-1]["polynomial"] else "no"
+        widest, split = (_or_na(v[-1].get(key)) for key in ("widest", "split"))
+        record = warm[k].get("record_s")
+        record = "n/a" if record is None else f"{record:.3f} s"
         print(f"{k}: median minor faults per round {faults:.0f}; "
               f"peak RSS after warm-up -> round {max(n // 2, 1)} -> at end {rss} MB "
               f"(tape arena {arena}, "
-              f"{views} view sets); numpy.polynomial imported: {poly}; "
+              f"{views} view sets); widest cached tape {widest} rows, "
+              f"{split} of them in blocks below _TAPE_BLOCK, warm-up recording {record}; "
+              f"numpy.polynomial imported: {poly}; "
               f"gc.collect() after the last round frees {garbage[k]} objects; "
               f"failed ops {len(failed)}")
         for f in failed:

@@ -25,9 +25,13 @@ jet.  A quadrature integrand (``integrand``), and any field evaluated on a
 batch of points a second time, runs a flat tape: the same jet rules
 recorded at order 0 as numpy operations on registers, one flat tuple
 (kernel, output, *inputs) per instruction, run in one arena of reused
-block-sized rows that start on 64-byte cache lines.  The arena is bounded by
-bytes (``_ARENA_BYTES``, 2 MiB): a tape with more rows than fit a whole
-quadrature block runs in halved sub-blocks instead.  Recording makes no
+block-sized rows that start on 64-byte cache lines.  The instructions are
+reordered for few live rows, by greedy list scheduling (the ready one that
+frees the most rows less the one it takes, the first recorded on a tie);
+each check keeps its place among the checks and runs before every later
+reader of its operand.  The arena is bounded by bytes (``_ARENA_BYTES``,
+2 MiB): a tape with more rows than fit a whole quadrature block runs in
+halved sub-blocks instead.  Recording makes no
 reference cycle, so the recorder and its registers are freed as soon as the
 tape is built.  Tapes are shared by structure: a module cache, keyed by the
 tree's distinct subtrees with their classes and attributes, hands every
@@ -970,8 +974,8 @@ def plateau_safe(f, z0):
 # compiled tapes
 #
 # The recorder runs the nodes' jet rules at order 0 on register handles
-# instead of arrays: every step they take becomes one instruction, in the
-# order the interpreter takes it, so a tape gives the interpreter's bits.
+# instead of arrays: every step they take becomes one instruction on the
+# same inputs as the interpreter's, so a tape gives the interpreter's bits.
 # Equal instructions on equal operands are one register (value numbering),
 # which also merges structurally equal subtrees.  Constants stay scalars that
 # broadcast, of their Python type so that numpy treats them as weak, and
@@ -987,6 +991,17 @@ def plateau_safe(f, z0):
 # reference counting frees the recorder and its registers once the tape is
 # built, leaving nothing to the cyclic collector.
 #
+# The live instructions then run in the order of a greedy list schedule for
+# few live rows (Sethi and Ullman, J. ACM 17, 1970; Goodman and Hsu, ICS
+# 1988): each step takes the ready instruction that frees the most rows less
+# the one row it takes (a check takes none), and a tie goes to the first
+# recorded.  Each check keeps its place among the checks and runs before
+# every reader of its operand recorded after it, so a block raises the
+# interpreter's first error before any of those readers meets a bad value.
+# Every instruction is elementwise on the same inputs, so the order changes
+# no bit.  At seed 3 it takes the 18 tapes of a ``cocycle`` round from 392
+# rows to 307 (the widest from 37 to 24) and ``pairing``'s from 313 to 304.
+#
 # Tapes are shared by structure: ``_tape_of`` looks a tree's tape up by its
 # ``_structure``, which holds all that a jet rule or the recorder reads, so
 # equal keys record equal tapes.  The key is computed when a field is first
@@ -998,9 +1013,11 @@ def plateau_safe(f, z0):
 # 64 points or more, starts on a 64-byte cache line, not at glibc's 16 mod
 # 64.  A batch runs in blocks of _TAPE_BLOCK points, one quadrature block,
 # halved (down to _TAPE_MIN_BLOCK) while the tape's rows would take more than
-# _ARENA_BYTES, so the widest tape does not set the arena's size: at 2 MiB,
-# one core's L2 cache on the benchmark's 2-core Xeon VM, only tapes of more
-# than 32 rows split.  Row views are cached by (rows, block): a shorter
+# _ARENA_BYTES, so the widest tape does not set the arena's size.  At 2 MiB,
+# one core's L2 cache on the benchmark's 2-core Xeon VM, a tape of more than
+# 32 rows splits; at seed 3 those are ``pairing``'s tapes of 33 rows (2,048
+# points) and 65 rows (the Bott cap-4 tape, 1,024), while every ``cocycle``
+# tape runs whole.  Row views are cached by (rows, block): a shorter
 # batch, such as a level's last, runs in the first points of its block's
 # rows, so a tape run only on short batches still takes a whole block's
 # rows, within _ARENA_BYTES.  Every instruction is elementwise, so neither
@@ -1282,7 +1299,7 @@ class _Tape:
     def __init__(self, expr):
         rec = _Recorder()
         res = _value(expr.jet(_Reg(rec, 0, _DTYPES[0]), 0, rec), rec)
-        code = self._live(rec.code, res)
+        code = self._schedule(self._live(rec.code, res), res, rec.nregs)
         # last instruction reading each register; the result is read at the end
         last = {r.id: i for i, ins in enumerate(code) for r in ins[2]}
         last[res.id] = len(code)
@@ -1334,6 +1351,74 @@ class _Tape:
             kept.append(ins)
             live.update(r.id for r in srcs)
         return kept[::-1]
+
+    @staticmethod
+    def _schedule(code, res, nregs):
+        """The instructions in the order that keeps few rows live, by greedy
+        list scheduling: each step takes the ready instruction that frees the
+        most rows less the one row it takes, the first recorded on a tie.  A
+        check keeps its place among the checks and runs before every reader
+        of its operand recorded after it.  Built from flat lists and a heap."""
+        n = len(code)
+        made = [-1] * nregs  # the instruction writing each register
+        left = [0] * nregs  # each register's readers not yet scheduled
+        after = [[] for _ in range(n)]  # the instructions waiting for each one
+        waits = [0] * n  # how many instructions each still waits for
+        reads = []  # each instruction's distinct inputs that hold a row
+        checks = []
+        for i, (_, out, srcs, pure) in enumerate(code):
+            ids = []
+            for r in srcs:
+                if r.id > 0 and r.id not in ids:
+                    ids.append(r.id)
+                    left[r.id] += 1
+                    after[made[r.id]].append(i)
+            reads.append(ids)
+            waits[i] = len(ids)
+            if pure:
+                made[out.id] = i
+            else:
+                checks.append(i)
+        for k, c in enumerate(checks):
+            x = code[c][2][0].id
+            # the readers of a row, or of the points or a constant
+            for j in after[made[x]] if x > 0 else range(c + 1, n):
+                if j > c and any(r.id == x for r in code[j][2]):
+                    after[c].append(j)
+                    waits[j] += 1
+            if k:
+                after[checks[k - 1]].append(c)
+                waits[c] += 1
+        frees = [0] * n  # the rows each would free if it ran now
+        for r in range(1, nregs):
+            if left[r] == 1 and r != res.id:
+                frees[after[made[r]][0]] += 1
+        if res.id > 0:
+            left[res.id] += 1  # read at the end
+
+        ready = [(pure - frees[i], i) for i, (*_, pure) in enumerate(code) if not waits[i]]
+        heapq.heapify(ready)
+        done = [False] * n
+        order = []
+        while ready:
+            i = heapq.heappop(ready)[1]
+            if done[i]:  # an entry made before its score rose
+                continue
+            done[i] = True
+            order.append(code[i])
+            for r in reads[i]:
+                left[r] -= 1
+                if left[r] == 1:  # its last reader now frees it
+                    for j in after[made[r]]:
+                        if not done[j]:
+                            frees[j] += 1
+                            if not waits[j]:
+                                heapq.heappush(ready, (code[j][3] - frees[j], j))
+            for j in after[i]:
+                waits[j] -= 1
+                if not waits[j]:
+                    heapq.heappush(ready, (code[j][3] - frees[j], j))
+        return order
 
     def run(self, zflat, out=None):
         """Values at the points; they go into ``out`` when it holds them all."""

@@ -42,7 +42,9 @@ _W2 = np.outer(_weights, _weights).astype(complex)
 # 64 cells of 64 points: a block's points and values, and each row of the
 # tape arena, are at most 64 KiB, below the 128 KiB mmap threshold.  A tape
 # whose rows for a whole block would pass the arena's byte budget
-# (``fields._ARENA_BYTES``) runs each block in halved sub-blocks.  With the
+# (``fields._ARENA_BYTES``), more than 32 rows in the order the tape is
+# scheduled in, runs each block in halved sub-blocks: at seed 3 every
+# ``cocycle`` tape runs whole, and two ``pairing`` tapes split.  With the
 # tape (benchmark ``cocycle`` workload, 2-core VM), 16 cells ran 1.35x slower,
 # as numpy's cost per call then outweighs the arithmetic; 256 cells ran no
 # faster and raised peak memory by 9 MB, the arena's rows growing with the

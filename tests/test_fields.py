@@ -362,19 +362,30 @@ def test_taped_field_never_interprets_a_batch(name, monkeypatch):
     assert np.array_equal(F.eval_field(f, blocks["no-annulus"]), want)
 
 
+# a reciprocal and a log whose operands vanish at different points of one
+# batch: the first check the interpreter meets names the error
+_Y = "(+ z (c 0.25 0))"  # vanishes at -0.25
+_XY = f"(* {_Y} (+ z (c -0.5 0)))"  # vanishes at -0.25 and 0.5
+
+
 @pytest.mark.parametrize("sexp, message", [
     ("(recip (+ z (c -0.5 0)))", "reciprocal of a vanishing field (Recip)"),
     ("(log (* (+ z (c -0.5 0)) (bump 0 0 0.6 0.9)))", "log of a vanishing field (Log)"),
+    (f"(+ (recip {_XY}) (log {_Y}))", "reciprocal of a vanishing field (Recip)"),
+    (f"(+ (log {_XY}) (recip {_Y}))", "log of a vanishing field (Log)"),
 ])
 def test_tape_raises_the_interpreter_domain_error(sexp, message):
-    bad = np.array([0.1, 0.5, 0.2j])
+    bad = np.array([0.1, 0.5, -0.25, 0.2j])
     with pytest.raises(F.FieldDomainError) as interpreted:
         F.eval_field(F.field_from_sexp(sexp), bad)
     f = F.field_from_sexp(sexp)
-    F.eval_field(f, bad[::2])
-    F.eval_field(f, bad[::2])
+    good = bad[::3]
+    want = F.eval_field(f, good)
+    assert np.array_equal(_bits(F.eval_field(f, good)), _bits(want))
     assert f.tape
-    with pytest.raises(F.FieldDomainError) as taped:
+    # and no reader of a vanishing operand runs before its check
+    with np.errstate(divide="raise", invalid="raise"), \
+            pytest.raises(F.FieldDomainError) as taped:
         F.eval_field(f, bad)
     assert str(taped.value) == str(interpreted.value) == message
 
@@ -472,13 +483,17 @@ def test_tape_rows_and_values_start_on_cache_lines(monkeypatch):
     assert _address(arena.buf) % 64 == 0
 
 
-def _deep_product(n):
-    """n factors z + c_k, each live until the product of those after it is
-    done: a tape of n rows.  The c_k are real of both signs, so on the real
-    axis the values' imaginary parts are zeros of both signs."""
-    s = "z"
-    for k in range(n, 0, -1):
-        s = f"(* (+ z (c {(-1) ** k * (0.3 + k / 64)} 0)) {s})"
+def _wide_tree(n):
+    """The factors f_k = c_k z, k = 1..n, times their sum S, as
+    f_1 (f_2 (... (f_n S))): each factor is read once before S exists and
+    once after, so in every order all n are live when S is written, and the
+    tape has n + 1 rows.  (The factors are products, as a sum of sums is
+    flattened and would not read them.)  The c_k are real of both signs, so
+    on the real axis the values' imaginary parts are zeros of both signs."""
+    fs = [f"(* z (c {(-1) ** k * (0.3 + k / 64)} 0))" for k in range(1, n + 1)]
+    s = "(+ " + " ".join(fs) + ")"
+    for f in reversed(fs):
+        s = f"(* {f} {s})"
     return F.field_from_sexp(s)
 
 
@@ -499,7 +514,7 @@ class _RowsSeen(F._Arena):
 
 
 def test_wide_tape_runs_in_halved_blocks(monkeypatch):
-    f = _deep_product(40)
+    f = _wide_tree(40)
     x = np.linspace(-0.6, 0.6, 71)
     # the real axis among the points, so signed zeros occur; 5,041 points
     # are two halved blocks and a remainder
@@ -513,8 +528,8 @@ def test_wide_tape_runs_in_halved_blocks(monkeypatch):
     assert 16 * tape.nrows * tape.block <= F._ARENA_BYTES < 32 * tape.nrows * tape.block
     got = tape.run(z)
     assert np.array_equal(_bits(got), _bits(want))
-    assert arena.seen == [(40, 2048, 2048), (40, 2048, 2048), (40, 2048, len(z) - 4096)]
-    assert list(arena.views) == [(40, 2048)]
+    assert arena.seen == [(41, 2048, 2048), (41, 2048, 2048), (41, 2048, len(z) - 4096)]
+    assert list(arena.views) == [(41, 2048)]
     # the same tape in whole blocks gives the same bits
     monkeypatch.setattr(F, "_ARENA_BYTES", 1 << 30)
     whole = F._Tape(f.expr)
@@ -527,7 +542,7 @@ def test_wide_tape_runs_in_halved_blocks(monkeypatch):
 def test_remainder_runs_in_the_block_views(monkeypatch):
     # two whole blocks and a remainder, then a batch shorter than a block:
     # one view set serves them all, and the bits are the interpreter's
-    f = _deep_product(12)
+    f = _wide_tree(12)
     x = np.linspace(-0.6, 0.6, 93)
     z = (x[None, :] + 1j * x[:, None]).ravel()  # 8,649 points, the real axis among them
     assert np.any(z.imag == 0) and len(z) % F._TAPE_BLOCK
@@ -548,13 +563,113 @@ def test_remainder_runs_in_the_block_views(monkeypatch):
     assert arena.buf.shape == (tape.nrows * F._TAPE_BLOCK,)
 
 
-def test_arena_stays_within_its_byte_budget():
-    f = _deep_product(70)
+def test_arena_stays_within_its_byte_budget(monkeypatch):
+    monkeypatch.setattr(F, "_ARENA", F._Arena())  # sized by this tape alone
+    f = _wide_tree(70)
     block = _grid(64, -0.6, 0.6)
     want = F.eval_field(f, block)
     assert np.array_equal(_bits(F.eval_field(f, block)), _bits(want))
-    assert f.tape.nrows == 70 and f.tape.block == F._TAPE_BLOCK // 4
-    assert F._ARENA.buf.nbytes <= F._ARENA_BYTES
+    assert f.tape.nrows == 71 and f.tape.block == F._TAPE_BLOCK // 4
+    assert F._ARENA.buf.nbytes == 16 * 71 * F._TAPE_BLOCK // 4 <= F._ARENA_BYTES
+
+
+# the tape's instruction order: a list schedule for few live rows
+
+def _recorded(expr):
+    """The live instructions of a tree's tape in recorded order, its result
+    register and its recorder's register count."""
+    rec = F._Recorder()
+    res = F._value(expr.jet(F._Reg(rec, 0, np.dtype(complex)), 0, rec), rec)
+    return F._Tape._live(rec.code, res), res, rec.nregs
+
+
+def _checks_keep_their_place(recorded, order):
+    """Each check runs after the checks recorded before it and before every
+    reader of its operand recorded after it."""
+    at = {id(ins): k for k, ins in enumerate(order)}
+    checks = [ins for ins in recorded if not ins[3]]
+    assert [at[id(c)] for c in checks] == sorted(at[id(c)] for c in checks)
+    for i, ins in enumerate(recorded):
+        if not ins[3]:
+            x = ins[2][0].id
+            later = [j for j in recorded[i + 1:] if any(r.id == x for r in j[2])]
+            assert all(at[id(ins)] < at[id(j)] for j in later)
+
+
+def _plain(code):
+    """A tape's code with each check's partial as its function and arguments."""
+    return [(getattr(k, "func", k), getattr(k, "args", ()), *rest) for k, *rest in code]
+
+
+@pytest.mark.parametrize("sexp", [*TAPE_TREES.values(), "wide"], ids=[*TAPE_TREES, "wide"])
+def test_schedule_is_a_permutation_in_dependency_order(sexp):
+    f = _wide_tree(12) if sexp == "wide" else F.field_from_sexp(sexp)
+    recorded, res, nregs = _recorded(f.expr)
+    order = F._Tape._schedule(recorded, res, nregs)
+    assert len(order) == len(recorded)
+    assert sorted(map(id, order)) == sorted(map(id, recorded))
+    written = {0}  # the points
+    for _, out, srcs, pure in order:
+        assert all(r.value is not None or r.id in written for r in srcs)
+        if pure:
+            written.add(out.id)
+    assert res.value is not None or res.id in written
+    _checks_keep_their_place(recorded, order)
+    # recording one tree twice gives the same code
+    assert _plain(F._Tape(f.expr).code) == _plain(F._Tape(f.expr).code)
+
+
+def test_schedule_keeps_a_check_before_its_operands_later_readers():
+    # recorded by hand: t / a frees t, which scores better than computing
+    # x, so without the check's constraint the quotient would run before
+    # the check on a that waits for the check on x
+    rec = F._Recorder()
+    z = F._Reg(rec, 0, np.dtype(complex))
+    a = z * z
+    t = z + 3.0
+    x = z * 5.0
+    rec.nonvanishing(x, "x vanishes")
+    rec.nonvanishing(a, "a vanishes")
+    q = t / a
+    order = F._Tape._schedule(rec.code, q, rec.nregs)
+    _checks_keep_their_place(rec.code, order)
+    assert [ins[1] for ins in order][-1] is q
+
+
+@pytest.mark.parametrize("cocycle", ["todd", "curvature"])
+def test_unit_integrands_take_fewer_rows_scheduled(cocycle, monkeypatch):
+    # the benchmark's Todd and curvature unit integrands at seed 3, built as
+    # test_cocycles.test_recording_a_todd_tape_leaves_no_garbage builds one
+    from conftest import kappa_action, rand_coeff
+    from loctrace.algebra import CrossedForm, diff_d, diff_delta, diff_nabla, fc_field
+    from loctrace.cocycles import _diag_sum
+
+    act = kappa_action()
+    rng = np.random.default_rng(3)
+    a0, a1, a2 = (CrossedForm.single(act, act.by_name(n), [[fc_field(rand_coeff(rng))]])
+                  for n in "ccv")
+    if cocycle == "todd":
+        x = a0.mul(diff_nabla(a1)).mul(diff_nabla(a2))
+    else:
+        x = a0.mul(diff_d(a1).mul(diff_delta(a2)).add(diff_delta(a1).mul(diff_d(a2))))
+    (key,) = [k for k in x.terms if x.label_of(k).cmap.is_identity_germ()]
+    expr = _diag_sum(x.terms[key], 1, 1).expr
+    scheduled = F._Tape(expr)
+    monkeypatch.setattr(F._Tape, "_schedule", staticmethod(lambda code, res, nregs: code))
+    recorded = F._Tape(expr)
+    assert len(scheduled.code) == len(recorded.code) > 150
+    assert scheduled.nrows < recorded.nrows
+    assert scheduled.block == recorded.block == F._TAPE_BLOCK
+    z = _grid(64, -0.6, 0.6)
+    got = scheduled.run(z)
+    assert np.array_equal(_bits(got), _bits(recorded.run(z)))  # the order moves no bit
+    # the interpreter's bits, but where the recorder's exact rewrites flip
+    # the sign of a zero
+    want = F._jet_batch(expr, z, 0)[0][(0, 0)]
+    nonzero = want.view(float) != 0
+    assert np.array_equal(got, want) and nonzero.any()
+    assert np.array_equal(got.view(float).view(np.uint64)[nonzero],
+                          want.view(float).view(np.uint64)[nonzero])
 
 
 # trees whose cutoffs no point of the "no-annulus" block meets
