@@ -24,11 +24,15 @@ size of its compiled tapes' arena after the warm-up and at the end
 arena caches then (``len(fields._ARENA.views)``), the rows of the widest
 tape in the tape cache (``fields._TAPES``) at the end and how many of its
 tapes run in blocks below ``fields._TAPE_BLOCK``, and the seconds the
-warm-up round spent recording tapes (in ``fields._Tape.__init__``), each
-``n/a`` for a checkout without it, whether the child has imported
-``numpy.polynomial`` by the end, how many objects ``gc.collect()`` frees
-in the child after its last round (garbage that only the cyclic collector
-reclaims), and the failed operations.
+warm-up round spent recording tapes (in ``fields._Tape.__init__``), the
+tape cache's footprint at the end (the bytes of its keys, of its tapes'
+``code`` and of the table ``fields._CODE`` that shares equal instructions,
+by deep ``sys.getsizeof`` with each object counted once and the small ints
+every process shares left out) and the number of distinct instruction
+tuples its tapes hold, each ``n/a`` for a checkout without it, whether the
+child has imported ``numpy.polynomial`` by the end, how many objects
+``gc.collect()`` frees in the child after its last round (garbage that only
+the cyclic collector reclaims), and the failed operations.
 Exits 1 if an operation failed, else 0.  Standard library only.
 """
 
@@ -43,7 +47,17 @@ import sys
 # argv: the checkout, the workload, the seed; one round per line on stdin
 CHILD = """
 import gc, importlib.util, json, os, resource, sys, time, types
+from functools import partial
 root, workload, seed = sys.argv[1], sys.argv[2], int(sys.argv[3])
+def deep(v, seen):
+    # v's bytes with the containers, strings, numbers and partials it holds
+    if (id(v) in seen or not isinstance(v, (tuple, list, dict, bytes, str, int, float, complex, partial))
+            or type(v) is int and -5 <= v <= 256):
+        return 0
+    seen.add(id(v))
+    held = ([*v.keys(), *v.values()] if isinstance(v, dict) else v.args if isinstance(v, partial)
+            else v if isinstance(v, (tuple, list)) else ())
+    return sys.getsizeof(v) + sum(deep(x, seen) for x in held)
 def load(name):
     spec = importlib.util.spec_from_file_location(name, os.path.join(root, "perfbench", name + ".py"))
     mod = importlib.util.module_from_spec(spec)
@@ -85,7 +99,17 @@ for _ in sys.stdin:
                       "widest": widest, "split": split,
                       "record_s": None if recording is None else recording[0],
                       "polynomial": "numpy.polynomial" in sys.modules}), flush=True)
-print(json.dumps({"garbage": gc.collect()}), flush=True)
+garbage = gc.collect()
+# after the last round, so that the walk's own memory is in no round's peak
+tapes, seen, table = getattr(fields, "_TAPES", None), set(), getattr(fields, "_CODE", None)
+try:
+    cache = {"keys": sum(deep(k, seen) for k in tapes),
+             "code": sum(deep(t.code, seen) for t in tapes.values()),
+             "table": None if table is None else deep(table, seen),
+             "tuples": len({id(i) for t in tapes.values() for i in t.code})}
+except (AttributeError, TypeError):
+    cache = None
+print(json.dumps({"garbage": garbage, "cache": cache}), flush=True)
 """
 
 
@@ -95,6 +119,18 @@ def _mib(nbytes):
 
 def _or_na(value):
     return "n/a" if value is None else str(value)
+
+
+def _kb(nbytes):
+    return "n/a" if nbytes is None else f"{nbytes / 1000:.1f} KB"
+
+
+def _cache(got):
+    """The tape cache's footprint as the child measured it."""
+    got = got or dict.fromkeys(("keys", "code", "table", "tuples"))
+    return (f"tape cache keys {_kb(got['keys'])}, code {_kb(got['code'])}, "
+            f"shared table {_kb(got['table'])}, "
+            f"{_or_na(got['tuples'])} distinct instruction tuples")
 
 
 class Child:
@@ -114,11 +150,12 @@ class Child:
         return json.loads(line)
 
     def close(self):
-        """Ends the child; the objects its last gc.collect() freed, or None."""
+        """Ends the child; the objects its last gc.collect() freed and its
+        tape cache's footprint, each None if it did not report them."""
         self.proc.stdin.close()
         line = self.proc.stdout.readline()
         self.proc.wait()
-        return json.loads(line)["garbage"] if line else None
+        return json.loads(line) if line else {"garbage": None, "cache": None}
 
 
 def main(argv=None):
@@ -131,7 +168,7 @@ def main(argv=None):
     seed = int(argv[4]) if len(argv) == 5 else 1
     kids = {"parent": Child(parent, workload, seed), "change": Child(change, workload, seed)}
     got = {"parent": [], "change": []}
-    warm, garbage = {}, {}
+    warm, last = {}, {}
     try:
         for name, kid in kids.items():
             warm[name] = kid.round()  # warm-up
@@ -143,7 +180,7 @@ def main(argv=None):
             print(f"round {i + 1:3d} ({order[0]} first): parent {a:.3f} s  change {b:.3f} s")
     finally:
         for name, kid in kids.items():
-            garbage[name] = kid.close()
+            last[name] = kid.close()
     med = {k: statistics.median(r["wall"] for r in v) for k, v in got.items()}
     wins = sum(c["wall"] < p["wall"] for p, c in zip(got["parent"], got["change"]))
     ratios = [c["wall"] / p["wall"] for p, c in zip(got["parent"], got["change"])]
@@ -168,8 +205,9 @@ def main(argv=None):
               f"(tape arena {arena}, "
               f"{views} view sets); widest cached tape {widest} rows, "
               f"{split} of them in blocks below _TAPE_BLOCK, warm-up recording {record}; "
+              f"{_cache(last[k]['cache'])}; "
               f"numpy.polynomial imported: {poly}; "
-              f"gc.collect() after the last round frees {garbage[k]} objects; "
+              f"gc.collect() after the last round frees {last[k]['garbage']} objects; "
               f"failed ops {len(failed)}")
         for f in failed:
             print(f"  {f}")

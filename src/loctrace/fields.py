@@ -34,16 +34,18 @@ reader of its operand.  The arena is bounded by bytes (``_ARENA_BYTES``,
 halved sub-blocks instead.  Recording makes no
 reference cycle, so the recorder and its registers are freed as soon as the
 tape is built.  Tapes are shared by structure: a module cache, keyed by the
-tree's distinct subtrees with their classes and attributes, hands every
-equal tree the tape recorded for the first.  A jet's keys depend on the tree
-and the order alone, so on every batch tape and interpreter give the same
-finite values, bit for bit but for the sign of a zero.
+pickled bytes of the tree's distinct subtrees with their classes and
+attributes, hands every equal tree the tape recorded for the first, and its
+tapes hold each equal instruction as one shared tuple.  A jet's keys depend
+on the tree and the order alone, so on every batch tape and interpreter give
+the same finite values, bit for bit but for the sign of a zero.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import pickle
 import weakref
 from functools import partial
 
@@ -930,7 +932,8 @@ def eval_field(f, z, out=None):
     second evaluation of a field on a batch of points takes its tape, shared
     with every equal tree, which that batch and every later one runs.  A
     tape writes into ``out`` when it holds the batch; else the values are a
-    fresh array."""
+    fresh array.  A tape runs block by block, so where its check fails the
+    interpreter runs the batch and raises its own first error."""
     if np.ndim(z):
         if f.tape is None:
             f.tape = False  # evaluated once
@@ -938,7 +941,12 @@ def eval_field(f, z, out=None):
             if f.tape is False:
                 f.tape = _tape_of(f.expr)
             zflat = np.asarray(z, dtype=complex).ravel()
-            return f.tape.run(zflat, out).reshape(np.shape(z))
+            try:
+                return f.tape.run(zflat, out).reshape(np.shape(z))
+            except (FieldDomainError, UnsupportedOrderError) as err:
+                failed = err
+            _jet_batch(f.expr, z, 0)
+            raise failed
     d, _ = _jet_batch(f.expr, z, 0)
     got = d.get((0, 0))
     if got is None:
@@ -1006,6 +1014,22 @@ def plateau_safe(f, z0):
 # ``_structure``, which holds all that a jet rule or the recorder reads, so
 # equal keys record equal tapes.  The key is computed when a field is first
 # taped, never when a tree is built, and its walk makes no reference cycle.
+# It is kept as ``pickle.dumps`` of the structure, an exact ``bytes`` key:
+# equal bytes unpickle to equal structures.  Each structure is pickled from
+# fresh tuples and strings and the same classes, so equal structures give
+# equal bytes; were they ever not to, an equal tree would only record a
+# second tape.  At seed 3 the 18 ``cocycle`` keys take 41 KB as bytes, 265 KB
+# as nested tuples.  The key is not a digest, which would not be exact, and
+# ``hashlib`` would load OpenSSL: 3.5 MiB of memory and several milliseconds
+# for a process, such as one CLI run, that has not loaded it yet.
+#
+# The cached tapes share equal instructions (hash-consing): ``_tape_of``
+# swaps each instruction of a tape it caches for the equal tuple in
+# ``_CODE``, the table of the cached tapes' instructions.  At seed 3 the 3,723
+# instructions of the ``cocycle`` tapes are 1,646 tuples: with their lists
+# they take 159 KB against 306 KB, and the table 74 KB more.  An eviction
+# empties the table, so it never holds an instruction of a tape that is no
+# longer cached; with a full cache, sharing starts afresh after each one.
 #
 # A register that holds an array gets a row of the module's one arena, a flat
 # buffer that grows to the most rows x block requested; a row is reused as
@@ -1072,14 +1096,15 @@ class _Arena:
 
 _ARENA = _Arena()
 _TAPES = {}
+_CODE = {}  # each instruction of the cached tapes, as its one shared tuple
 
 
 def _structure(expr):
-    """The tape cache's key of a tree: its distinct subtrees in post-order,
-    each as its class and its slots, with subtrees by number and any other
-    value by type and repr, as ``_Recorder.const`` keys a constant (so 0.0
-    and -0.0, or 1 and 1.0, differ).  Shared and repeated subtrees give one
-    entry, so the key depends on the tree's structure alone."""
+    """What the tape cache keys a tree by, pickled: its distinct subtrees in
+    post-order, each as its class and its slots, with subtrees by number and
+    any other value by type and repr, as ``_Recorder.const`` keys a constant
+    (so 0.0 and -0.0, or 1 and 1.0, differ).  Shared and repeated subtrees
+    give one entry, so the key depends on the tree's structure alone."""
     number = {}  # entry -> its number, in the order first met
     _part(expr, number, {})
     return tuple(number)
@@ -1099,12 +1124,17 @@ def _part(v, number, seen):
 
 
 def _tape_of(expr):
-    """The tape of a tree, recorded only when no equal tree has one."""
-    key = _structure(expr)
+    """The tape of a tree, recorded only when no equal tree has one.  Its
+    instructions are shared through ``_CODE``, which an eviction empties, so
+    that it holds only cached tapes' instructions."""
+    key = pickle.dumps(_structure(expr), 5)
     tape = _TAPES.get(key)
     if tape is None:
         tape = _Tape(expr)
+        if len(_TAPES) >= _TAPE_CACHE:
+            _CODE.clear()
         _keep(_TAPES, key, tape, _TAPE_CACHE)
+        tape.code = [_CODE.setdefault(ins, ins) for ins in tape.code]
     return tape
 
 

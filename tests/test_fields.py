@@ -1,7 +1,10 @@
 """Field expression trees: evaluation, derivatives, supports, serialization."""
 
 import cmath
+import importlib.util
 import math
+import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,6 +393,32 @@ def test_tape_raises_the_interpreter_domain_error(sexp, message):
     assert str(taped.value) == str(interpreted.value) == message
 
 
+def test_tape_raises_the_interpreter_first_error_across_blocks():
+    # the log's operand vanishes in the first block, the reciprocal's in the
+    # second; the interpreter checks the reciprocal on the whole batch first
+    f = F.field_from_sexp("(+ (recip (+ z (c -0.5 0))) (log (+ z (c 0.25 0))))")
+    z = _grid(91, -0.6, 0.6)[:8192]
+    z[100], z[5000] = -0.25, 0.5
+    for _ in range(2):  # the first runs the interpreter, the second the tape
+        with pytest.raises(F.FieldDomainError) as err:
+            F.eval_field(f, z)
+        assert str(err.value) == "reciprocal of a vanishing field (Recip)"
+    assert f.tape and f.tape.block < len(z)
+    with pytest.raises(F.FieldDomainError, match=r"\(Log\)"):
+        f.tape.run(z)  # the tape alone fails in its first block
+
+
+def test_tape_error_stands_where_the_interpreter_returns(monkeypatch):
+    f = F.field_from_sexp("(log (+ z (c 0.25 0)))")
+    z = np.array([0.1, -0.25])
+    F.eval_field(f, z[:1])
+    F.eval_field(f, z[:1])
+    assert f.tape
+    monkeypatch.setattr(F, "_jet_batch", lambda expr, z, K: ({}, None))
+    with pytest.raises(F.FieldDomainError, match=r"\(Log\)"):
+        F.eval_field(f, z)
+
+
 def _taped(sexp):
     f = F.field_from_sexp(sexp)
     block = _tape_blocks()["mixed"]
@@ -398,10 +427,18 @@ def _taped(sexp):
     return f
 
 
+def _keys_of(tape):
+    """The tape cache's keys of a tape."""
+    return [k for k, t in F._TAPES.items() if t is tape]
+
+
 @pytest.mark.parametrize("name", sorted(TAPE_TREES))
 def test_equal_trees_share_one_tape(name):
     a, b = _taped(TAPE_TREES[name]), _taped(TAPE_TREES[name])
     assert a.expr is not b.expr and a.tape is b.tape
+    # one exact bytes key, the same for both trees
+    (key,) = _keys_of(a.tape)
+    assert isinstance(key, bytes) and pickle.loads(key) == F._structure(b.expr)
     # a tree whose equal subtrees are one object shares it too
     shared = F.field_from_sexp(TAPE_TREES[name])
     doubled = F.ScalarField(F.Mul(shared.expr, shared.expr))
@@ -423,21 +460,76 @@ def test_equal_trees_share_one_tape(name):
     ("(* z (bump 0.1 0 0.2 0.45))", "(* z (bump 0.1 0.0 0.2 0.45 (* z (c 1 0))))"),
     ("(+ z (* z zbar))", "(+ (* z zbar) z)"),
 ])
-def test_trees_that_differ_get_their_own_tapes(a, b):
+def test_trees_that_differ_get_their_own_tapes(a, b, monkeypatch):
+    monkeypatch.setattr(F, "_TAPES", {})
+    monkeypatch.setattr(F, "_CODE", {})
     fa, fb = _taped(a), _taped(b)
     assert F._structure(fa.expr) != F._structure(fb.expr)
     assert fa.tape is not fb.tape
+    (ka,), (kb,) = _keys_of(fa.tape), _keys_of(fb.tape)
+    assert ka != kb
+
+
+def test_equal_instructions_of_cached_tapes_are_one_tuple(monkeypatch):
+    monkeypatch.setattr(F, "_TAPES", {})
+    monkeypatch.setattr(F, "_CODE", {})
+    tapes = [_taped(sexp).tape for sexp in TAPE_TREES.values()]
+    first, owners = {}, {}
+    for k, tape in enumerate(tapes):
+        for ins in tape.code:
+            assert first.setdefault(ins, ins) is ins and F._CODE[ins] is ins
+            owners.setdefault(ins, set()).add(k)
+    assert any(len(o) > 1 for o in owners.values())  # some are shared
+    assert F._CODE.keys() == first.keys()
+    # a tape recorded outside the cache shares nothing and adds nothing
+    alone = F._Tape(F.field_from_sexp(TAPE_TREES["arith"]).expr)
+    assert alone.code == tapes[0].code
+    assert not any(F._CODE.get(ins) is ins for ins in alone.code)
+    assert len(F._CODE) == len(first)
+
+
+def test_second_cocycle_round_records_no_tape(monkeypatch):
+    # the benchmark's cocycle round at seed 3, built afresh each time: the
+    # second finds every tape in the cache by its key
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    monkeypatch.setattr(F, "_TAPES", {})
+    monkeypatch.setattr(F, "_CODE", {})
+    record, recorded = F._Tape.__init__, []
+
+    def counted(self, expr):
+        recorded.append(expr)
+        record(self, expr)
+
+    monkeypatch.setattr(F._Tape, "__init__", counted)
+    counts = []
+    for _ in range(2):
+        recorded.clear()
+        for op in workloads.cocycle(3):
+            assert op.check(op.call()) is None
+        counts.append(len(recorded))
+    assert counts[0] == len(F._TAPES) > 0 and counts[1] == 0
 
 
 def test_tape_cache_is_bounded_oldest_out_first(monkeypatch):
     monkeypatch.setattr(F, "_TAPES", {})
+    monkeypatch.setattr(F, "_CODE", {})
     bound = F._TAPE_CACHE
-    exprs = [F.field_from_sexp(f"(* z (c {k} 0.5))").expr for k in range(bound + 3)]
+    # the first three tapes' instructions are theirs alone
+    sexps = [f"(+ (* z zbar) (c {k} 0.5))" for k in range(3)]
+    sexps += [f"(* z (c {k} 0.5))" for k in range(bound)]
+    exprs = [F.field_from_sexp(s).expr for s in sexps]
     tapes = []
     for e in exprs:
         tapes.append(F._tape_of(e))
         assert len(F._TAPES) <= bound
     assert len(F._TAPES) == bound
+    # the shared table holds only instructions of cached tapes
+    cached = {id(ins) for t in F._TAPES.values() for ins in t.code}
+    assert F._CODE and all(id(ins) in cached for ins in F._CODE.values())
+    assert not any(ins in F._CODE for t in tapes[:3] for ins in t.code)
     assert [F._tape_of(e) for e in exprs[3:]] == tapes[3:]  # kept, not recorded again
     assert F._tape_of(exprs[0]) is not tapes[0]  # the oldest went first
 
