@@ -31,7 +31,7 @@ from .cocycles import (
 )
 from .config import ConfigError, load_scenario, parse_scenario
 from .dist import RenormKernel, check_covariance, check_dolbeault, pair_kernel
-from .fields import Annulus, Box, Disk, EmptyRegion, ScalarField, WholePlane
+from .fields import Box, Disk, EmptyRegion, ScalarField, WholePlane
 from .groupoid import (
     AffineMap,
     FiniteCyclicAction,

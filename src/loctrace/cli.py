@@ -288,6 +288,14 @@ def _cmd_anomaly(scn, section, args):
 _DIST_TOLS = {"dolbeault": 1e-5, "covariance": 1e-5, "shift": 1e-8, "pair": 1e-6}
 
 
+def _shift_defect(n, z0, c, phi, **qkw):
+    """Defect of the shift identity: moving the order-n kernel at z0 by c
+    moves its pairing with phi by c phi(z0)."""
+    base = DK.pair_kernel(DK.RenormKernel(n, z0), phi, **qkw)
+    moved = DK.pair_kernel(DK.RenormKernel(n, z0, shift=c), phi, **qkw)
+    return abs(moved - base - c * complex(F.eval_field(phi, z0)))
+
+
 def _cmd_dist_check(scn, section, args):
     table = []
     checks = []
@@ -310,10 +318,7 @@ def _cmd_dist_check(scn, section, args):
         elif kind == "shift":
             z0 = CF.parse_complex(spec["z0"], path + ".z0")
             c = CF.parse_complex(spec["c"], path + ".c")
-            n = int(spec.get("n", 2))
-            base = DK.pair_kernel(DK.RenormKernel(n, z0), phi, **qkw)
-            moved = DK.pair_kernel(DK.RenormKernel(n, z0, shift=c), phi, **qkw)
-            defect = abs(moved - base - c * complex(F.eval_field(phi, z0)))
+            defect = _shift_defect(int(spec.get("n", 2)), z0, c, phi, **qkw)
             row = {"check": name, "defect": defect}
         elif kind == "pair":
             z0 = CF.parse_complex(spec["z0"], path + ".z0")
@@ -460,21 +465,16 @@ def _verify_checks(rng, tol, depth, cap):
     s = free.generator("s")
     fn = F.bumped(F.fconst(0.8 + 0.1j), 0.3, 0.02, 0.04)
     un = CrossedForm(free, 1, {s: [[fc_field(fn)]]}, [[1.0]])
-    u_hat, u_inv = T.lift_invertible(un, cap, {"kind": "nilpotent"})
-    one = WordCrossedForm.unit(free, 1, cap)
-    resid = max(
-        T.crossed_max_abs(u_hat.mul(u_inv).sub(one)),
-        T.crossed_max_abs(u_inv.mul(u_hat).sub(one)),
-    )
-    checks.append(_check("lift-nilpotent", resid, 1e-12))
-
     vn = CrossedForm(free, 1, {s: [[fc_field(F.fneg(fn))]]}, [[1.0]])
-    u_hat2, u_inv2 = T.lift_invertible(un, cap, {"kind": "inverse", "value": vn})
-    resid2 = max(
-        T.crossed_max_abs(u_hat2.mul(u_inv2).sub(one)),
-        T.crossed_max_abs(u_inv2.mul(u_hat2).sub(one)),
-    )
-    checks.append(_check("lift-inverse-certified", resid2, 1e-12))
+    one = WordCrossedForm.unit(free, 1, cap)
+    for name, cert in (("lift-nilpotent", {"kind": "nilpotent"}),
+                       ("lift-inverse-certified", {"kind": "inverse", "value": vn})):
+        u_hat, u_inv = T.lift_invertible(un, cap, cert)
+        resid = max(
+            T.crossed_max_abs(u_hat.mul(u_inv).sub(one)),
+            T.crossed_max_abs(u_inv.mul(u_hat).sub(one)),
+        )
+        checks.append(_check(name, resid, 1e-12))
 
     bact, be = P.bott_projector()
     e_til = T.lift_idempotent(be, cap)
@@ -495,15 +495,7 @@ def _verify_checks(rng, tol, depth, cap):
     )
     checks.append(_check("kernel-covariance", cv, 1e-5))
     c = complex(*rng.normal(size=2))
-    base = DK.pair_kernel(DK.RenormKernel(2, z0), phi, tol=tol)
-    moved = DK.pair_kernel(DK.RenormKernel(2, z0, shift=c), phi, tol=tol)
-    checks.append(
-        _check(
-            "kernel-shift",
-            abs(moved - base - c * complex(F.eval_field(phi, z0))),
-            1e-12,
-        )
-    )
+    checks.append(_check("kernel-shift", _shift_defect(2, z0, c, phi, tol=tol), 1e-12))
 
     # anomaly components on a small marked element
     rngc = np.random.default_rng(rng.integers(0, 2**32))
@@ -532,8 +524,8 @@ def _verify_checks(rng, tol, depth, cap):
 def _cmd_verify(scn, section, args):
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
-    tol = args.tol if args.tol is not None else (scn.tol if scn else 1e-6)
-    depth = args.depth if args.depth is not None else (scn.depth if scn else 12)
+    tol = args.tol if args.tol is not None else (scn.tol if scn else Q.DEFAULT_TOL)
+    depth = args.depth if args.depth is not None else (scn.depth if scn else Q.DEFAULT_DEPTH)
     cap = args.trunc if args.trunc is not None else (scn.truncation if scn else 3)
     checks = _verify_checks(rng, tol, depth, cap)
     return {}, checks

@@ -28,7 +28,7 @@ from .groupoid import (
     compose_maps,
     fixed_points,
 )
-from .quadrature import NonConvergenceError, integrate_box
+from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError, integrate_box
 
 __all__ = [
     "PlateauError",
@@ -45,9 +45,6 @@ __all__ = [
     "ConjugatedAction",
     "transport_coordinates",
 ]
-
-DEFAULT_TOL = 1e-6
-DEFAULT_DEPTH = 12
 
 
 class PlateauError(Exception):

@@ -3,7 +3,7 @@
 A scenario is a single JSON document: a key-tree of strings, numbers and
 lists.  Complex numbers are two-element ``[re, im]`` arrays (a bare number is
 accepted and read as a real).  Scalar fields are s-expressions in the grammar
-of :func:`loctrace.fields.field_to_sexp`.  Every label an element refers to
+of :func:`loctrace.fields.field_from_sexp`.  Every label an element refers to
 must be reachable from the declared group.
 
 Top-level keys:
@@ -26,6 +26,7 @@ import json
 
 from . import fields as F
 from . import groupoid as G
+from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL
 from .algebra import CrossedForm, FormCoefficient
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "parse_scenario"]
@@ -62,12 +63,6 @@ def parse_region(spec, path="region"):
     if kind == "box":
         return F.Box(
             float(spec["x0"]), float(spec["x1"]), float(spec["y0"]), float(spec["y1"])
-        )
-    if kind == "annulus":
-        return F.Annulus(
-            parse_complex(spec.get("center", 0.0), path + ".center"),
-            float(spec["r0"]),
-            float(spec["r1"]),
         )
     if kind == "plane":
         return F.WholePlane()
@@ -300,8 +295,8 @@ def parse_scenario(raw, name=None):
         action,
         int(raw.get("truncation", DEFAULT_TRUNCATION)),
         int(raw.get("jet_order", DEFAULT_JET_ORDER)),
-        float(quad.get("tol", 1e-6)),
-        int(quad.get("depth", 12)),
+        float(quad.get("tol", DEFAULT_TOL)),
+        int(quad.get("depth", DEFAULT_DEPTH)),
         elements,
         ktheory,
         collapse,

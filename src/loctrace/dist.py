@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from . import fields as F
-from .quadrature import (BLOCK_POINTS, NonConvergenceError, empty_aligned, integrate_box,
-                         integrate_rect)
+from .quadrature import (BLOCK_POINTS, DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError,
+                         empty_aligned, integrate_box, integrate_rect)
 
 __all__ = [
     "N_MAX",
@@ -33,8 +33,6 @@ __all__ = [
 ]
 
 N_MAX = 8
-DEFAULT_TOL = 1e-6
-DEFAULT_DEPTH = 12
 
 
 class RenormKernel:

@@ -52,7 +52,7 @@ from functools import partial
 import numpy as np
 
 from .jets import Jet2
-from .quadrature import empty_aligned
+from .quadrature import BLOCK_POINTS, empty_aligned
 
 __all__ = [
     "UnsupportedOrderError",
@@ -62,14 +62,12 @@ __all__ = [
     "EmptyRegion",
     "Disk",
     "Box",
-    "Annulus",
     "ScalarField",
     "fconst",
     "fzero",
     "fone",
     "fz",
     "fzbar",
-    "fmonomial",
     "bump_field",
     "bumped",
     "fadd",
@@ -79,14 +77,12 @@ __all__ = [
     "fconj",
     "fpow",
     "frecip",
-    "flog",
     "fderiv",
     "fpullback",
     "eval_field",
     "integrand",
     "jet2_at",
     "plateau_safe",
-    "field_to_sexp",
     "field_from_sexp",
 ]
 
@@ -166,24 +162,6 @@ class Box(Region):
 
     def __repr__(self):
         return f"Box{self.b}"
-
-
-class Annulus(Region):
-    def __init__(self, center, r_inner, r_outer):
-        self.center = complex(center)
-        self.r_inner = float(r_inner)
-        self.r_outer = float(r_outer)
-
-    def bbox(self):
-        c, r = self.center, self.r_outer
-        return (c.real - r, c.real + r, c.imag - r, c.imag + r)
-
-    def contains(self, z):
-        d = np.abs(np.asarray(z, dtype=complex) - self.center)
-        return (d >= self.r_inner) & (d <= self.r_outer)
-
-    def __repr__(self):
-        return f"Annulus({self.center}, {self.r_inner}, {self.r_outer})"
 
 
 def bbox_union(a, b):
@@ -724,7 +702,7 @@ class ScalarField:
         )
 
     def __repr__(self):
-        return f"ScalarField({field_to_sexp(self)!r}, support={self.support})"
+        return f"ScalarField({type(self.expr).__name__}, support={self.support})"
 
 
 def fconst(c):
@@ -747,16 +725,6 @@ def fz():
 
 def fzbar():
     return ScalarField(VarZbar(), None)
-
-
-def fmonomial(coeff, p, q):
-    """coeff * z^p * zbar^q."""
-    e = Const(coeff)
-    if p:
-        e = Mul(e, IntPow(VarZ(), p)) if p > 1 else Mul(e, VarZ())
-    if q:
-        e = Mul(e, IntPow(VarZbar(), q)) if q > 1 else Mul(e, VarZbar())
-    return ScalarField(e, None)
 
 
 def bump_field(center, r_pl, r_sup):
@@ -881,10 +849,6 @@ def fpow(a, n):
 
 def frecip(a):
     return ScalarField(Recip(a.expr), None)
-
-
-def flog(a):
-    return ScalarField(Log(a.expr), None)
 
 
 def fderiv(a, p, q):
@@ -1047,7 +1011,7 @@ def plateau_safe(f, z0):
 # rows, within _ARENA_BYTES.  Every instruction is elementwise, so neither
 # the split nor the short rows change a bit.  Evaluation is serial.
 
-_TAPE_BLOCK = 4096
+_TAPE_BLOCK = BLOCK_POINTS
 _TAPE_MIN_BLOCK = 64
 _ARENA_BYTES = 2 << 20
 _DTYPES = (np.dtype(complex), np.dtype(np.float64), np.dtype(np.bool_))
@@ -1500,51 +1464,7 @@ def _k_glue_cap(K, annulus, out):
 
 
 # ---------------------------------------------------------------------------
-# prefix-notation serialization
-
-
-def _fmt_num(x):
-    return repr(float(x))
-
-
-def field_to_sexp(f):
-    return _node_to_sexp(f.expr)
-
-
-def _node_to_sexp(n):
-    if isinstance(n, Const):
-        return f"(c {_fmt_num(n.value.real)} {_fmt_num(n.value.imag)})"
-    if isinstance(n, VarZ):
-        return "z"
-    if isinstance(n, VarZbar):
-        return "zbar"
-    if isinstance(n, Add):
-        return "(+ " + " ".join(_node_to_sexp(t) for t in n.terms) + ")"
-    if isinstance(n, Mul):
-        return f"(* {_node_to_sexp(n.a)} {_node_to_sexp(n.b)})"
-    if isinstance(n, Neg):
-        return f"(neg {_node_to_sexp(n.a)})"
-    if isinstance(n, IntPow):
-        return f"(pow {_node_to_sexp(n.a)} {n.n})"
-    if isinstance(n, Recip):
-        return f"(recip {_node_to_sexp(n.a)})"
-    if isinstance(n, Log):
-        return f"(log {_node_to_sexp(n.a)})"
-    if isinstance(n, Conj):
-        return f"(conj {_node_to_sexp(n.a)})"
-    if isinstance(n, Deriv):
-        return f"(deriv {n.p} {n.q} {_node_to_sexp(n.a)})"
-    if isinstance(n, Compose):
-        return f"(compose {_node_to_sexp(n.sub)} {_node_to_sexp(n.inner)})"
-    if isinstance(n, Bump):
-        head = (
-            f"(bump {_fmt_num(n.center.real)} {_fmt_num(n.center.imag)} "
-            f"{_fmt_num(n.r_pl)} {_fmt_num(n.r_sup)}"
-        )
-        if isinstance(n.inner, VarZ):
-            return head + ")"
-        return head + f" {_node_to_sexp(n.inner)})"
-    raise TypeError(f"unknown node {type(n).__name__}")
+# prefix-notation parser
 
 
 def _tokenize(s):
@@ -1600,6 +1520,7 @@ def _build(head, args):
 
 
 def field_from_sexp(s, support=None):
+    """A field in prefix notation: numbers, z, zbar and the operators of ``_build``."""
     tokens = _tokenize(s)
     node, pos = _parse(tokens, 0)
     if pos != len(tokens):

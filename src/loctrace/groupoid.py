@@ -446,7 +446,7 @@ class FixedPointClusterError(Exception):
     into one multiple fixed point inside the region."""
 
 
-def fixed_points(g, region=None, grid=NEWTON_GRID):
+def fixed_points(g, region=None):
     """Isolated fixed points of g inside the region, as a new list.  Identity
     germs have no isolated fixed points and return the empty list.  Each map
     searches a region, told apart by its exact defining numbers, once.
@@ -465,14 +465,14 @@ def fixed_points(g, region=None, grid=NEWTON_GRID):
     the simple-point formula and FixedPointClusterError is raised."""
     region = region or g.domain
     memo = _memo(g, "_fixed_points")
-    key = (type(region), *vars(region).values(), grid)
+    key = (type(region), *vars(region).values())
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = _find_fixed_points(g, region, grid)
+        hit = memo[key] = _find_fixed_points(g, region)
     return list(hit)
 
 
-def _find_fixed_points(g, region, grid):
+def _find_fixed_points(g, region):
     if g.is_identity_germ():
         return []
     if isinstance(g, AffineMap):
@@ -496,7 +496,7 @@ def _find_fixed_points(g, region, grid):
         c[1] -= 1.0
         cands = _roots(c[::-1])
     else:
-        cands = _newton_fixed_points(g, region, grid)
+        cands = _newton_fixed_points(g, region)
     inside = [complex(p) for p in cands if bool(np.all(region.contains(p)))]
     pts, out = _dedupe(inside), []
     while pts:
@@ -591,12 +591,12 @@ def _merge_multiple(g, cluster):
     return complex(z0), 10.0 * spread
 
 
-def _newton_fixed_points(g, region, grid):
+def _newton_fixed_points(g, region):
     bb = region.bbox()
     if bb is None:
         raise ValueError("fixed-point search needs a bounded region for this map")
-    x = np.linspace(bb[0], bb[1], grid)
-    y = np.linspace(bb[2], bb[3], grid)
+    x = np.linspace(bb[0], bb[1], NEWTON_GRID)
+    y = np.linspace(bb[2], bb[3], NEWTON_GRID)
     Z = (x[None, :] + 1j * y[:, None]).ravel()
     alive = np.ones(Z.shape, dtype=bool)
     for _ in range(NEWTON_MAXIT):

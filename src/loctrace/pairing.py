@@ -19,15 +19,13 @@ import math
 from . import fields as F
 from .algebra import CrossedForm, DWord, diff_nabla, fc_field, word_mu
 from .cocycles import (
-    DEFAULT_DEPTH,
-    DEFAULT_TOL,
     PlateauError,
     integrate_units,
     integrate_units_words,
     phi_trace_words,
 )
 from .groupoid import automorphism_order, fixed_points, trivial_action
-from .quadrature import NonConvergenceError, integrate_box
+from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError, integrate_box
 from .tensoralg import (
     Tau0,
     TruncatedSeries,

@@ -26,6 +26,9 @@ import numpy as np
 __all__ = ["integrate_rect", "integrate_box", "QuadratureResult", "NonConvergenceError"]
 
 GL_ORDER = 8
+# the library's default tolerance and depth limit of an adaptive integral
+DEFAULT_TOL = 1e-6
+DEFAULT_DEPTH = 12
 # numpy.polynomial.legendre.leggauss(8) of numpy 2.4.6 on the benchmark's VM,
 # each float written as its repr, which reads back to the same bits.  leggauss
 # solves an eigenproblem through the machine's LAPACK; the literal table is
@@ -140,14 +143,14 @@ def _children(cells):
     return np.stack(quads, axis=1).reshape(-1, 4)
 
 
-def integrate_rect(f_xy, rect, tol=1e-6, max_depth=12):
+def integrate_rect(f_xy, rect, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Integrate f(x, y) dx dy over a rectangle (x0, x1, y0, y1); ``f_xy``
     maps two float arrays of points to one value per point or one scalar.
     The arrays are reused for the next block: ``f_xy`` must not keep them."""
     return _integrate(f_xy, rect, tol, max_depth, False)
 
 
-def integrate_box(f_z, rect, tol=1e-6, max_depth=12):
+def integrate_box(f_z, rect, tol=DEFAULT_TOL, max_depth=DEFAULT_DEPTH):
     """Same engine with a complex-plane integrand f(z) and measure dx dy;
     ``f_z`` gets one complex array of points, reused as in ``integrate_rect``."""
     return _integrate(f_z, rect, tol, max_depth, True)

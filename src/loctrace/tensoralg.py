@@ -335,19 +335,6 @@ class GroupCocycle1:
             total += exp * self.weights[name]
         return complex(total)
 
-    def check_additive(self, pairs):
-        """Largest additivity defect c(gh) - c(g) - c(h) over label pairs
-        whose product has a defined weight."""
-        worst = 0.0
-        for g, h in pairs:
-            gh = g.action.compose(h, g)
-            try:
-                defect = abs(self.value(gh) - self.value(g) - self.value(h))
-            except ValueError:
-                continue
-            worst = max(worst, defect)
-        return worst
-
     def of(self, x):
         total = 0.0 + 0.0j
         for (w, b), m in x.terms.items():

@@ -121,7 +121,7 @@ class TestConvolution:
 
 class TestFormCoefficient:
     def test_wedge_degree_addition_and_sign(self):
-        f, g = F.fmonomial(1.0, 1, 0), F.fconst(2.0)
+        f, g = F.fz(), F.fconst(2.0)
         a = FormCoefficient({(1, 0): f})
         b = FormCoefficient({(0, 1): g})
         ab = a.wedge(b)

@@ -169,9 +169,9 @@ class TestHigherOrder:
         searches, jets = Counter(), Counter()
         find, jet_at = G._find_fixed_points, G.ConformalMap.jet_at
 
-        def counted_find(g, region, grid):
+        def counted_find(g, region):
             searches[id(g), repr(region)] += 1
-            return find(g, region, grid)
+            return find(g, region)
 
         def counted_jet_at(g, z0, order):
             jets[id(g), complex(z0), order] += 1

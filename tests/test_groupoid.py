@@ -563,7 +563,7 @@ def test_dedupe_matches_pairwise_loop():
     # the 1,024 Newton candidates of a chain whose fixed points crowd together
     g = G.compose_maps(G.MobiusMap([[1.0, 0.0], [1e-9, 1.0]]), G.PolyMap([0, 1, 0, 0, 1]))
     region = F.Disk(0.0, 0.6)
-    cands = [complex(p) for p in G._newton_fixed_points(g, region, G.NEWTON_GRID)
+    cands = [complex(p) for p in G._newton_fixed_points(g, region)
              if bool(np.all(region.contains(p)))]
     assert len(cands) == 1024
     # and with near copies of every seventh one, which must be dropped

@@ -1,11 +1,14 @@
 """Package-level hygiene: every name a module exports exists, every name
-the benchmark's tracer wraps still resolves, and no module imports a name it
-never uses."""
+the benchmark's tracer wraps still resolves, no module imports a name it
+never uses, and every function the program's own traffic never enters has a
+pinned reason to stay."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -142,3 +145,121 @@ def test_numpy_roots_is_named_in_one_function():
                 owner = [f.name for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
                 found.add(f"{p.name}:{'.'.join(owner) or '<module>'}")
     assert found == {"groupoid.py:_roots"}
+
+
+REPR = "__repr__"
+PROTOCOL = "protocol default, or a protocol method no traffic calls"
+ERROR_PATH = "error path"
+DIRECTION_C = "direction C: the finite cyclic rotation scenario"
+DIRECTION_F = "direction F: multiple fixed points and the Newton search"
+CLOSED_FORMS = "compose_maps' closed forms, reached by mixed or polynomial free generators"
+TRACER = "wrapped by name by the benchmark's tracer until direction D"
+ORACLE = "test oracle"
+ODD_PAIRING = "Fix first: no odd scenario pairs a word whose image is an identity germ"
+
+# Every function of src/loctrace that scripts/reach.py's traffic (the golden
+# fixtures, verify at seeds 3 and 7, every benchmark operation at seed 3)
+# never enters, by module and qualified name, with the reason it stays.
+UNREACHED = {
+    "algebra": {
+        "FormCoefficient.__repr__": REPR,
+        "CrossedForm.sample_value": ORACLE,
+        "CrossedForm.__repr__": REPR,
+        "WordCrossedForm.mu_image": ORACLE,
+    },
+    "cocycles": {
+        "CocycleValue.__repr__": REPR,
+        "ConjugatedAction.unit": PROTOCOL,
+        "ConjugatedAction.compose": PROTOCOL,
+        "ConjugatedAction.inverse": PROTOCOL,
+    },
+    "config": {"_fail": ERROR_PATH},
+    "dist": {"RenormKernel.__repr__": REPR},
+    "fields": {
+        "Region.bbox": PROTOCOL,
+        "Region.contains": PROTOCOL,
+        "WholePlane.contains": PROTOCOL,
+        "WholePlane.__repr__": REPR,
+        "EmptyRegion.bbox": PROTOCOL,
+        "EmptyRegion.contains": PROTOCOL,
+        "EmptyRegion.__repr__": REPR,
+        "Disk.__repr__": REPR,
+        "Box.__repr__": REPR,
+        "ScalarField.__repr__": REPR,
+        "plateau_safe": TRACER,
+        "_k_glue_cap": ERROR_PATH,
+    },
+    "groupoid": {
+        "ConformalMap.apply": PROTOCOL,
+        "ConformalMap._build_trees": PROTOCOL,
+        "ConformalMap.inverse": PROTOCOL,
+        "ConformalMap.is_identity_germ": PROTOCOL,
+        "ConformalMap.preimage_region": PROTOCOL,
+        "IdentityMap.apply": PROTOCOL,
+        "IdentityMap._build_trees": PROTOCOL,
+        "IdentityMap.inverse": PROTOCOL,
+        "IdentityMap.preimage_region": PROTOCOL,
+        "IdentityMap.__repr__": REPR,
+        "AffineMap.__repr__": REPR,
+        "MobiusMap.__repr__": REPR,
+        "PolyMap.apply": PROTOCOL,
+        "PolyMap.__repr__": REPR,
+        "ChainMap.__init__": CLOSED_FORMS,
+        "ChainMap.apply": CLOSED_FORMS,
+        "ChainMap._build_trees": CLOSED_FORMS,
+        "ChainMap.inverse": CLOSED_FORMS,
+        "ChainMap.is_identity_germ": CLOSED_FORMS,
+        "ChainMap.__repr__": REPR,
+        "_trim": CLOSED_FORMS,
+        "_polymul": CLOSED_FORMS,
+        "_merge_multiple": DIRECTION_F,
+        "_newton_fixed_points": DIRECTION_F,
+        "Automorphism.__repr__": REPR,
+        "GroupLabel.__repr__": REPR,
+        "GroupAction.unit": PROTOCOL,
+        "GroupAction.compose": PROTOCOL,
+        "GroupAction.inverse": PROTOCOL,
+        "MatrixMobiusAction.inverse": PROTOCOL,
+        "FiniteCyclicAction.__init__": DIRECTION_C,
+        "FiniteCyclicAction.unit": DIRECTION_C,
+        "FiniteCyclicAction.compose": DIRECTION_C,
+        "FiniteCyclicAction.inverse": DIRECTION_C,
+    },
+    "jets": {"Jet1.__repr__": REPR, "Jet2.__repr__": REPR},
+    "pairing": {"PairingResult.__repr__": REPR, "Delta1Result.__repr__": REPR},
+    "quadrature": {"QuadratureResult.__repr__": REPR},
+    "tensoralg": {"_WordMatrices.__repr__": REPR, "GroupCocycle1.value": ODD_PAIRING},
+}
+
+
+def _never_entered(output):
+    """{module: {qualified name}} from the listing of scripts/reach.py."""
+    out, names = {}, None
+    for line in output.splitlines():
+        if line.endswith(" never reached") and not line.startswith("all:"):
+            names = out[line.split(".py:")[0]] = set()
+        elif line.startswith("  never entered: "):
+            names.add(line.split(": ", 1)[1])
+    return out
+
+
+def test_every_never_entered_function_is_pinned():
+    # reach.py runs its traffic under its line tracer in an interpreter of its
+    # own: in this one, caches that earlier tests filled (recorded tapes, the
+    # recorder's dtype probes) would keep their builders from being entered
+    root = Path(__file__).resolve().parents[1]
+    reach = root / "scripts" / "reach.py"
+    run = subprocess.run([sys.executable, str(reach), "--seed", "3"], capture_output=True,
+                         text=True, timeout=600, check=True)
+    found = _never_entered(run.stdout)
+    assert set(found) == {p.stem for p in (root / "src" / "loctrace").glob("*.py")}
+    unpinned = sorted(f"{m}.{n}" for m, names in found.items() for n in names - set(UNREACHED.get(m, ())))
+    assert unpinned == []
+    # a pinned name must still exist, so deleted code leaves the table too
+    spec = importlib.util.spec_from_file_location("reach", reach)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    defined = {m: {name for name, _ in mod.module_table(str(root / "src" / "loctrace" / f"{m}.py"))[1]}
+               for m in UNREACHED}
+    stale = sorted(f"{m}.{n}" for m, names in UNREACHED.items() for n in names if n not in defined[m])
+    assert stale == []

@@ -12,9 +12,7 @@ import pytest
 from scipy import integrate as si
 
 from loctrace import quadrature as Q
-from loctrace.quadrature import integrate_box, integrate_rect
-
-BLOCK_POINTS = 64 * 64  # 64 cells of 8 x 8 Gauss points
+from loctrace.quadrature import BLOCK_POINTS, integrate_box, integrate_rect
 
 
 def ring(x, y):
