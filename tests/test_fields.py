@@ -237,6 +237,27 @@ class TestSexp:
         for text, f in cases.items():
             assert F._structure(F.field_from_sexp(text).expr) == F._structure(f.expr), text
 
+    def test_round_trip_preserves_values(self):
+        # a field built by the constructors and its s-expression, parsed back
+        f = F.fadd(
+            F.fconst(1.5 - 2j),
+            F.fscale(F.fmul(F.fz(), F.fzbar()), 0.5),
+            F.bumped(F.fpow(F.fz(), 2), 0.1j, 0.2, 0.4),
+        )
+        g = F.field_from_sexp(
+            "(+ (c 1.5 -2) (* (c 0.5 0) (* z zbar)) (* (pow z 2) (bump 0 0.1 0.2 0.4)))"
+        )
+        for z in (0.05 + 0.1j, 0.2j, -0.15):
+            assert abs(F.eval_field(f, z) - F.eval_field(g, z)) < 1e-13
+
+    def test_round_trip_special_nodes(self):
+        f = F.fderiv(
+            F.fconj(F.frecip(F.fadd(F.fconst(2.0), F.fmul(F.fz(), F.fzbar())))), 1, 0
+        )
+        g = F.field_from_sexp("(deriv 1 0 (conj (recip (+ (c 2 0) (* z zbar)))))")
+        z = 0.3 - 0.1j
+        assert abs(F.eval_field(f, z) - F.eval_field(g, z)) < 1e-13
+
     def test_parse_literal_forms(self):
         f = F.field_from_sexp("(* (c 2 0) z)")
         assert F.eval_field(f, 0.5j) == 1j
