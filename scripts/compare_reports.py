@@ -6,9 +6,10 @@
 Runs the seven golden fixture commands and ``verify --seed 3`` and
 ``--seed 7`` with the ``loctrace`` package of each checkout's ``src/``, on
 that checkout's fixtures.  The ``timings`` of every report are dropped.
-Every field that differs is printed, floats with their relative change.
-Exits 1 if a field other than a float differs (a changed string, count,
-flag, key set or list length), else 0.  Standard library only.
+Every field that differs is printed, floats with their absolute and
+relative change.  Exits 1 if a field other than a float differs (a changed
+string, count, flag, key set or list length), else 0.  Standard library
+only.
 
 With ``--ops SEED`` it runs instead every operation of the three benchmark
 workloads at that seed: each checkout's ``perfbench/workloads.py`` is loaded
@@ -101,26 +102,39 @@ def compare_ops(seed, parent, change):
 
 
 def diffs(a, b, path="$"):
-    """(path, text, is_float) for every field where a and b differ."""
+    """(path, old, new) for every field where a and b differ; a changed key
+    set or list length is given at the path with " keys" or " length"."""
     if isinstance(a, float) and isinstance(b, float):
         if a != b and not (a != a and b != b):
-            scale = max(abs(a), abs(b))
-            rel = abs(a - b) / scale if scale else 0.0
-            yield path, f"{a!r} -> {b!r} (relative {rel:.3g})", True
+            yield path, a, b
     elif type(a) is not type(b):
-        yield path, f"{type(a).__name__} -> {type(b).__name__}", False
+        yield path, a, b
     elif isinstance(a, dict):
         if a.keys() != b.keys():
-            yield path, f"keys {sorted(a)} -> {sorted(b)}", False
+            yield f"{path} keys", sorted(a), sorted(b)
         for k in sorted(a.keys() & b.keys()):
             yield from diffs(a[k], b[k], f"{path}.{k}")
     elif isinstance(a, list):
         if len(a) != len(b):
-            yield path, f"length {len(a)} -> {len(b)}", False
+            yield f"{path} length", len(a), len(b)
         for i, (x, y) in enumerate(zip(a, b)):
             yield from diffs(x, y, f"{path}[{i}]")
     elif a != b:
-        yield path, f"{a!r} -> {b!r}", False
+        yield path, a, b
+
+
+def is_float(old, new):
+    return isinstance(old, float) and isinstance(new, float)
+
+
+def describe(old, new):
+    """old -> new, and for two floats their absolute and relative change."""
+    text = f"{old!r} -> {new!r}"
+    if is_float(old, new):
+        scale = max(abs(old), abs(new))
+        rel = abs(old - new) / scale if scale else 0.0
+        text += f" (absolute {abs(old - new):.2g}, relative {rel:.3g})"
+    return text
 
 
 def main(argv=None):
@@ -135,9 +149,9 @@ def main(argv=None):
     for command, arg in RUNS:
         found = list(diffs(report(parent, command, arg), report(change, command, arg)))
         print(f"{command} {arg}: {'==' if not found else f'{len(found)} field(s) differ'}")
-        for path, text, is_float in found:
-            print(f"  {path}: {text}")
-            hard += not is_float
+        for path, old, new in found:
+            print(f"  {path}: {describe(old, new)}")
+            hard += not is_float(old, new)
     return 1 if hard else 0
 
 

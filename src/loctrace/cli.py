@@ -25,8 +25,9 @@ from . import fields as F
 from . import groupoid as G
 from . import pairing as P
 from . import quadrature as Q
+from . import scenarios as S
 from . import tensoralg as T
-from .algebra import CrossedForm, FormCoefficient, WordCrossedForm, fc_field
+from .algebra import CrossedForm, WordCrossedForm, fc_field
 from .algebra import diff_d, diff_delta, diff_nabla, diff_partial_bar
 
 __all__ = ["main", "run"]
@@ -50,6 +51,10 @@ def _cj(z):
 
 def _word_names(key):
     return [lab.name for lab in key]
+
+
+def _nat_order(nk):
+    return (len(nk[0]), _word_names(nk[0]), nk[1].name)
 
 
 def _check(name, defect, tol):
@@ -197,6 +202,8 @@ def _cmd_pair_even(scn, section, args):
 def _cmd_pair_odd(scn, section, args):
     entry = _kt_entry(scn, section["invertible"], "invertible", "pair_odd.invertible")
     psi = None
+    if "expect" in section and "collapse" not in section:
+        raise CF.ConfigError("pair_odd.expect: an expectation needs a collapse functional")
     if "collapse" in section:
         cname = section["collapse"]
         if cname not in scn.collapse:
@@ -212,12 +219,10 @@ def _cmd_pair_odd(scn, section, args):
         tol=scn.tol,
         max_depth=scn.depth,
     )
+    terms = res.truncated.terms
     words = [
-        {"word": _word_names(w), "dletter": b.name, "value": _cj(m[0][0])}
-        for (w, b), m in sorted(
-            res.truncated.terms.items(),
-            key=lambda kv: (len(kv[0][0]), _word_names(kv[0][0]), kv[0][1].name),
-        )
+        {"word": _word_names(nk[0]), "dletter": nk[1].name, "value": _cj(terms[nk][0][0])}
+        for nk in sorted(terms, key=_nat_order)
     ]
     payload = {
         "words": words,
@@ -226,7 +231,7 @@ def _cmd_pair_odd(scn, section, args):
         "dropped_words": res.breakdown["dropped"],
     }
     checks = []
-    if "expect" in section and res.collapsed is not None:
+    if "expect" in section:
         checks.append(
             _expect_check("pair-odd-collapsed", res.collapsed, section["expect"], 1e-6)
         )
@@ -246,10 +251,6 @@ def _delta0_cross_path(om, region, jet_order):
         got[nk] = complex(d0.terms[nk][0][0]) if nk in d0.terms else 0j
         cross = max(cross, abs(got[nk] - ref.get(nk, 0j)))
     return got, cross
-
-
-def _nat_order(nk):
-    return (len(nk[0]), _word_names(nk[0]), nk[1].name)
 
 
 def _cmd_anomaly(scn, section, args):
@@ -303,35 +304,31 @@ def _cmd_dist_check(scn, section, args):
         kind = spec.get("check")
         path = f"dist[{i}]"
         name = spec.get("name", f"{kind}[{i}]")
-        tol = float(spec.get("tol", _DIST_TOLS.get(kind, 1e-6)))
         phi = CF.parse_field(spec["phi"], path + ".phi")
+        if kind not in _DIST_TOLS:
+            raise CF.ConfigError(f"{path}: unknown check kind {kind!r}")
+        tol = float(spec.get("tol", _DIST_TOLS[kind]))
+        z0 = CF.parse_complex(spec["z0"], path + ".z0")
         qkw = dict(tol=scn.tol, max_depth=scn.depth)
         if kind == "dolbeault":
-            z0 = CF.parse_complex(spec["z0"], path + ".z0")
             lhs, rhs, defect = DK.check_dolbeault(z0, phi, **qkw)
             row = {"check": name, "lhs": _cj(lhs), "rhs": _cj(rhs), "defect": defect}
         elif kind == "covariance":
-            z0 = CF.parse_complex(spec["z0"], path + ".z0")
             h = CF.parse_map(spec["map"], path + ".map")
             defect = DK.check_covariance(int(spec["n"]), h, z0, phi, **qkw)
             row = {"check": name, "n": int(spec["n"]), "defect": defect}
         elif kind == "shift":
-            z0 = CF.parse_complex(spec["z0"], path + ".z0")
             c = CF.parse_complex(spec["c"], path + ".c")
             defect = _shift_defect(int(spec.get("n", 2)), z0, c, phi, **qkw)
             row = {"check": name, "defect": defect}
-        elif kind == "pair":
-            z0 = CF.parse_complex(spec["z0"], path + ".z0")
-            n = int(spec.get("n", 1))
-            got = DK.pair_kernel(DK.RenormKernel(n, z0), phi, **qkw)
-            row = {"check": name, "value": _cj(got), "defect": 0.0}
+        else:  # pair: a check only against an expected value
+            got = DK.pair_kernel(DK.RenormKernel(int(spec.get("n", 1)), z0), phi, **qkw)
+            row = {"check": name, "value": _cj(got)}
             if "expect" in spec:
-                want = CF.parse_complex(spec["expect"], path + ".expect")
-                row["defect"] = abs(got - want)
-        else:
-            raise CF.ConfigError(f"{path}: unknown check kind {kind!r}")
+                row["defect"] = abs(got - CF.parse_complex(spec["expect"], path + ".expect"))
         table.append(row)
-        checks.append(_check(name, row["defect"], tol))
+        if "defect" in row:
+            checks.append(_check(name, row["defect"], tol))
     return {"identities": table}, checks
 
 
@@ -339,40 +336,9 @@ def _cmd_dist_check(scn, section, args):
 # the seeded verification battery
 
 
-def _rand_poly(rng, scale=1.0):
-    cs = (rng.normal(size=4) + 1j * rng.normal(size=4)) * scale
-    return F.fadd(
-        F.fconst(cs[0]),
-        F.fscale(F.fz(), cs[1]),
-        F.fscale(F.fzbar(), cs[2]),
-        F.fscale(F.fmul(F.fz(), F.fz()), cs[3]),
-    )
-
-
-def _rand_coeff(rng, degrees=((0, 0),)):
-    comps = {}
-    for pq in degrees:
-        comps[pq] = F.bumped(_rand_poly(rng), 0.0, 0.25, 0.45)
-    return FormCoefficient(comps)
-
-
-def _std_action():
-    dom = F.Disk(0.0, 0.5)
-    return G.MatrixMobiusAction(
-        [("a", [[2, 0], [0, 1]]), ("b", [[1, 0], [1, 1]])], dom
-    )
-
-
-def _rand_crossed(act, rng, degrees=((0, 0),)):
-    terms = {}
-    for name in ("a", "b"):
-        terms[act.by_name(name)] = [[_rand_coeff(rng, degrees)]]
-    return CrossedForm(act, 1, terms)
-
-
 def _verify_checks(rng, tol, depth, cap):
     checks = []
-    act = _std_action()
+    act = S.std_mobius_action()
 
     # localized trace of a dilation against a plateau cutoff
     f = F.bump_field(0.0, 0.25, 0.45)
@@ -388,7 +354,7 @@ def _verify_checks(rng, tol, depth, cap):
     )
 
     # squares of the differentials vanish termwise
-    y = _rand_crossed(act, rng, degrees=((0, 0), (1, 0), (0, 1)))
+    y = S.rand_crossed(rng, act, ("a", "b"), degrees=((0, 0), (1, 0), (0, 1)))
     sq = max(
         T.crossed_max_abs(diff_d(diff_d(y))),
         T.crossed_max_abs(diff_partial_bar(diff_partial_bar(y))),
@@ -398,8 +364,8 @@ def _verify_checks(rng, tol, depth, cap):
     checks.append(_check("differential-squares", sq, 1e-9))
 
     # graded Leibniz on a pure even/odd pair
-    x0 = _rand_crossed(act, rng, degrees=((0, 0),))
-    y1 = _rand_crossed(act, rng, degrees=((1, 0),))
+    x0 = S.rand_crossed(rng, act, ("a", "b"))
+    y1 = S.rand_crossed(rng, act, ("a", "b"), degrees=((1, 0),))
     lb = max(
         T.crossed_max_abs(
             diff_d(x0.mul(y1)).sub(diff_d(x0).mul(y1)).sub(x0.mul(diff_d(y1)))
@@ -415,8 +381,8 @@ def _verify_checks(rng, tol, depth, cap):
     # the localized trace is a trace
     worst = 0.0
     for _ in range(3):
-        p = _rand_crossed(act, rng)
-        q = _rand_crossed(act, rng)
+        p = S.rand_crossed(rng, act, ("a", "b"))
+        q = S.rand_crossed(rng, act, ("a", "b"))
         worst = max(
             worst, abs(C.phi_trace(p.mul(q)).value - C.phi_trace(q.mul(p)).value)
         )
@@ -431,22 +397,13 @@ def _verify_checks(rng, tol, depth, cap):
 
     # cocycle identities over the unit space
     triv = G.trivial_action(F.Disk(0.0, 0.6))
-    u = triv.unit
-
-    def tcf(deg):
-        return CrossedForm(triv, 1, {u: [[_rand_coeff(rng, (deg,))]]})
-
-    a0, a1, a2, a3 = tcf((0, 0)), tcf((0, 0)), tcf((0, 0)), tcf((0, 0))
+    a0, a1, a2, a3 = (S.rand_crossed(rng, triv, ("unit",)) for _ in range(4))
     kw = dict(tol=tol, max_depth=depth)
 
     # the dual-path identity needs curvature: parabolic germs whose product
     # is the identity, so the connection term survives on the unit words
-    kact = G.MatrixMobiusAction(
-        [("c", [[1, 0], [0.4, 1]]), ("v", [[1, 0], [-0.8, 1]])], F.Disk(0.0, 0.5)
-    )
-    b0 = CrossedForm.single(kact, kact.by_name("c"), [[_rand_coeff(rng)]])
-    b1 = CrossedForm.single(kact, kact.by_name("c"), [[_rand_coeff(rng)]])
-    b2 = CrossedForm.single(kact, kact.by_name("v"), [[_rand_coeff(rng)]])
+    kact = S.kappa_action()
+    b0, b1, b2 = (S.rand_crossed(rng, kact, (nm,)) for nm in ("c", "c", "v"))
     defect, _, _, _ = C.todd_dual_defect(b0, b1, b2, **kw)
     checks.append(_check("todd-dual-path", defect, 2.0 * max(tol, 1e-6)))
 
@@ -476,7 +433,7 @@ def _verify_checks(rng, tol, depth, cap):
         )
         checks.append(_check(name, resid, 1e-12))
 
-    bact, be = P.bott_projector()
+    _, be = S.bott_projector()
     e_til = T.lift_idempotent(be, cap)
     checks.append(
         _check("lift-idempotent", T.crossed_max_abs(e_til.mul(e_til).sub(e_til)), 1e-10)
@@ -486,7 +443,7 @@ def _verify_checks(rng, tol, depth, cap):
     checks.append(_check("bott-collapsed", abs(res.collapsed + 1.0), 1e-4))
 
     # distributional identities
-    phi = F.bumped(_rand_poly(rng), 0.0, 0.3, 0.5)
+    phi = S.rand_coeff(rng, 0.0, 0.3, 0.5)
     z0 = complex(*(0.1 * rng.normal(size=2)))
     _, _, dd = DK.check_dolbeault(z0, phi, tol=tol, max_depth=depth)
     checks.append(_check("kernel-dolbeault", dd, 1e-5))
@@ -499,17 +456,8 @@ def _verify_checks(rng, tol, depth, cap):
 
     # anomaly components on a small marked element
     rngc = np.random.default_rng(rng.integers(0, 2**32))
-    omega_el = CrossedForm(
-        act,
-        1,
-        {
-            act.by_name("a"): [[_rand_coeff(rngc)]],
-            act.by_name("b"): [[_rand_coeff(rngc)]],
-        },
-    )
-    a_el = CrossedForm(
-        act, 1, {act.by_name("a"): [[_rand_coeff(rngc, ((0, 1),))]]}
-    )
+    omega_el = S.rand_crossed(rngc, act, ("a", "b"))
+    a_el = S.rand_crossed(rngc, act, ("a",), degrees=((0, 1),))
     om = T.universal_d(WordCrossedForm.from_crossed(omega_el, 2))
     _, cross = _delta0_cross_path(om, act.domain, 16)
     checks.append(_check("delta0-cross-path", cross, 0.0))

@@ -17,14 +17,14 @@ import cmath
 import math
 
 from . import fields as F
-from .algebra import CrossedForm, DWord, diff_nabla, fc_field, word_mu
+from .algebra import DWord, diff_nabla, word_mu
 from .cocycles import (
     PlateauError,
     integrate_units,
     integrate_units_words,
     phi_trace_words,
 )
-from .groupoid import automorphism_order, fixed_points, trivial_action
+from .groupoid import automorphism_order, fixed_points
 from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError, integrate_box
 from .tensoralg import (
     Tau0,
@@ -67,23 +67,6 @@ def _scalar_series(action, cap, values):
 
 def _scalar_oneform(action, cap, values):
     return UniversalOneForm(action, 1, cap, {k: [[v]] for k, v in values.items()})
-
-
-def bott_projector():
-    """Rank-one projector built from a radial window; exactly idempotent.
-    It carries the Bott class: its even pairing is -1."""
-    act = trivial_action(F.Disk(0.0, 2.5))
-    B = F.bump_field(0.0, 1.0, 2.0)
-    R = F.frecip(F.fadd(F.fmul(B, B), F.fmul(F.fz(), F.fzbar())))
-    e11 = F.fmul(R, F.fmul(B, B))
-    e12 = F.fmul(R, F.fmul(B, F.fzbar()))
-    e21 = F.fmul(R, F.fmul(B, F.fz()))
-    e22 = F.fneg(F.fmul(R, F.fmul(B, B)))
-    for f in (e11, e12, e21, e22):
-        f.support = F.Disk(0.0, 2.0)
-    mat = [[fc_field(e11), fc_field(e12)], [fc_field(e21), fc_field(e22)]]
-    e = CrossedForm(act, 2, {act.unit: mat}, [[0.0, 0.0], [0.0, 1.0]])
-    return act, e
 
 
 def pair_even(

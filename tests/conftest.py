@@ -1,7 +1,10 @@
 """Shared builders for the test suite.
 
-Everything here constructs package objects; the independent oracles the
-tests compare against live in the test modules themselves.
+The seeded builders that ``verify`` uses too live in
+:mod:`loctrace.scenarios`, and those the tests import are re-exported here;
+the builders defined below are used by the tests only.  Everything here
+constructs package objects; the independent oracles the tests compare
+against live in the test modules themselves.
 """
 
 import numpy as np
@@ -9,69 +12,58 @@ import pytest
 
 from loctrace import fields as F
 from loctrace import groupoid as G
-from loctrace.algebra import CrossedForm, FormCoefficient
-from loctrace.pairing import bott_projector  # noqa: F401  (shared with the CLI)
-
-
-def rand_poly(rng, scale=1.0):
-    """Low-degree polynomial in z, zbar with random complex coefficients."""
-    cs = (rng.normal(size=5) + 1j * rng.normal(size=5)) * scale
-    return F.fadd(
-        F.fconst(cs[0]),
-        F.fscale(F.fz(), cs[1]),
-        F.fscale(F.fzbar(), cs[2]),
-        F.fscale(F.fmul(F.fz(), F.fz()), cs[3]),
-        F.fscale(F.fmul(F.fz(), F.fzbar()), cs[4]),
-    )
-
-
-def rand_coeff(rng, center=0.0, r_pl=0.25, r_sup=0.45):
-    """Random smooth compactly supported field, flat near the center."""
-    return F.bumped(rand_poly(rng), center, r_pl, r_sup)
-
-
-def rand_form(rng, degrees=((0, 0),), center=0.0, r_pl=0.25, r_sup=0.45):
-    comps = {}
-    for pq in degrees:
-        comps[tuple(pq)] = rand_coeff(rng, center, r_pl, r_sup)
-    return FormCoefficient(comps)
+from loctrace.algebra import CrossedForm, WordCrossedForm, fc_field
+from loctrace.scenarios import (  # noqa: F401  (re-exported)
+    bott_projector,
+    kappa_action,
+    rand_coeff,
+    rand_crossed,
+    std_mobius_action,
+)
+from loctrace.tensoralg import GroupCocycle1, universal_d
 
 
 def dilation_action(lam, radius=0.75):
     return G.MatrixMobiusAction([("a", [[lam, 0.0], [0.0, 1.0]])], F.Disk(0.0, radius))
 
 
-def std_mobius_action(radius=0.5):
-    return G.MatrixMobiusAction(
-        [("a", [[2.0, 0.0], [0.0, 1.0]]), ("b", [[1.0, 0.0], [1.0, 1.0]])],
-        F.Disk(0.0, radius),
+def single0(action, lab, f):
+    """One term, scalar 1x1 matrix, degree (0, 0) coefficient."""
+    return CrossedForm.single(action, lab, [[fc_field(f)]])
+
+
+def poly_action(coeffs, radius=0.6):
+    """Free action generated by one polynomial germ."""
+    act = G.FreeGeneratorsAction([("g", G.PolyMap(coeffs))], F.Disk(0.0, radius))
+    return act, act.generator("g")
+
+
+def smooth_phi(center=0.0, r_pl=0.3, r_sup=0.6, cs=(1.0, 0.7 - 0.2j, 0.4j, 0.25)):
+    poly = F.fadd(
+        F.fconst(cs[0]),
+        F.fscale(F.fz(), cs[1]),
+        F.fscale(F.fzbar(), cs[2]),
+        F.fscale(F.fmul(F.fz(), F.fz()), cs[3]),
     )
+    return F.bumped(poly, center, r_pl, r_sup)
 
 
-def kappa_action(radius=0.5):
-    # parabolic pair; v.c.c is the identity germ, so products of these
-    # labels can land on the unit while every factor has c != 0
-    return G.MatrixMobiusAction(
-        [("c", [[1.0, 0.0], [0.4, 1.0]]), ("v", [[1.0, 0.0], [-0.8, 1.0]])],
-        F.Disk(0.0, radius),
+def kappa_one_form(seed=0):
+    """One-form word element over the parabolic pair with unit-word content."""
+    act = kappa_action()
+    x = rand_crossed(np.random.default_rng(seed), act, ("c", "v"))
+    w = WordCrossedForm.from_crossed(x, cap=3)
+    return act, universal_d(w.mul(w).add(w))
+
+
+def odd_scenario(t=1.0):
+    """1 + t f U_s over a free dilation action, with the pairing weight 1."""
+    act = G.FreeGeneratorsAction([("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0))
+    f = F.bumped(F.fadd(F.fconst(0.8 + 0.1j), F.fscale(F.fz(), 0.3)), 0.3, 0.02, 0.04)
+    u = CrossedForm.unit(act, 1).add(
+        CrossedForm.single(act, act.generator("s"), [[fc_field(F.fscale(f, t))]])
     )
-
-
-def rand_crossed(rng, action, names, size=1, degrees=((0, 0),)):
-    """Random crossed element supported on the given label names."""
-    x = CrossedForm(action, size)
-    for nm in names:
-        lab = action.unit if nm in ("1", "unit") else action.by_name(nm)
-        mat = [
-            [rand_form(rng, degrees) for _ in range(size)]
-            for _ in range(size)
-        ]
-        x = x.add(CrossedForm.single(action, lab, mat, size=size))
-    return x
-
-
-def eval_at(f, z):
-    return F.eval_field(f, z)
+    return act, u, GroupCocycle1(weights={"s": 1.0})
 
 
 @pytest.fixture

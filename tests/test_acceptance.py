@@ -54,8 +54,13 @@ from conftest import (
     bott_projector,
     dilation_action,
     kappa_action,
+    kappa_one_form,
+    odd_scenario,
+    poly_action,
     rand_coeff,
     rand_crossed,
+    single0,
+    smooth_phi,
     std_mobius_action,
 )
 
@@ -76,15 +81,6 @@ class budget:
             assert elapsed < self.seconds, (
                 f"took {elapsed:.2f}s, budget {self.seconds:g}s"
             )
-
-
-def single0(action, lab, f):
-    return CrossedForm.single(action, lab, [[fc_field(f)]])
-
-
-def poly_action(coeffs, radius=0.6):
-    act = G.FreeGeneratorsAction([("g", G.PolyMap(coeffs))], F.Disk(0.0, radius))
-    return act, act.generator("g")
 
 
 def nilpotent_elem(act, seed):
@@ -343,28 +339,16 @@ def test_criterion_08_bott_pairing_integrality():
 # 9: odd pairing
 
 
-def _odd_scenario(t, weight=1.0):
-    act = G.FreeGeneratorsAction([("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0))
-    s = act.generator("s")
-    f = F.bumped(
-        F.fadd(F.fconst(0.8 + 0.1j), F.fscale(F.fz(), 0.3)), 0.3, 0.02, 0.04
-    )
-    u = CrossedForm.unit(act, 1).add(
-        CrossedForm.single(act, s, [[fc_field(F.fscale(f, t))]])
-    )
-    return act, u, GroupCocycle1(weights={"s": weight})
-
-
 def test_criterion_09_odd_pairing_properties():
     kw = dict(cap=3, certificate={"kind": "nilpotent"}, tol=1e-7)
 
     # the unit itself pairs to zero with no numerical noise at all
-    act, u0, psi = _odd_scenario(t=0.0)
+    act, u0, psi = odd_scenario(t=0.0)
     assert pair_odd(u0, psi=psi, **kw).collapsed == 0.0
 
     # deforming 1 + t a cannot move the value: four samples along the path
     for t in (0.25, 0.5, 1.0):
-        act, ut, psi = _odd_scenario(t=t)
+        act, ut, psi = odd_scenario(t=t)
         assert abs(pair_odd(ut, psi=psi, **kw).collapsed) < 1e-6, t
 
     # a block diagonal pairs to the sum of its blocks, wordwise
@@ -402,18 +386,6 @@ def _table_trace(mat):
 # 10: boundary terms by two routes
 
 
-def _kappa_one_form(seed):
-    act = kappa_action()
-    rng = np.random.default_rng(seed)
-    x = CrossedForm(act, 1)
-    for nm in ("c", "v"):
-        x = x.add(
-            CrossedForm.single(act, act.by_name(nm), [[fc_field(rand_coeff(rng))]])
-        )
-    w = WordCrossedForm.from_crossed(x, cap=3)
-    return act, universal_d(w.mul(w).add(w))
-
-
 def _delta1_scenario(k):
     rng = np.random.default_rng(1000 + k)
     cap = 3
@@ -449,7 +421,7 @@ def test_criterion_10_anomaly_dual_paths():
     # degree-zero boundary: localized route equals the word-trace reference
     # with zero defect
     for seed in (5, 6, 7):
-        act, om = _kappa_one_form(seed)
+        act, om = kappa_one_form(seed)
         d0 = anomaly_delta0(om, region=act.domain)
         ref = {}
         for key, v in phi_trace_words(om, act.domain).items():
@@ -477,19 +449,9 @@ def test_criterion_10_anomaly_dual_paths():
 DIST_KW = dict(tol=1e-8, max_depth=14)
 
 
-def _smooth_phi(center=0.0, r_pl=0.3, r_sup=0.6, cs=(1.0, 0.7 - 0.2j, 0.4j, 0.25)):
-    poly = F.fadd(
-        F.fconst(cs[0]),
-        F.fscale(F.fz(), cs[1]),
-        F.fscale(F.fzbar(), cs[2]),
-        F.fscale(F.fmul(F.fz(), F.fz()), cs[3]),
-    )
-    return F.bumped(poly, center, r_pl, r_sup)
-
-
 def test_criterion_11_distribution_identities():
     # derivative identity at the anchor
-    phi = _smooth_phi()
+    phi = smooth_phi()
     lhs, rhs, defect = check_dolbeault(0.05, phi, **DIST_KW)
     assert abs(rhs) > 0.1  # non-vacuous
     assert defect < 1e-5
@@ -502,7 +464,7 @@ def test_criterion_11_distribution_identities():
             3,
             G.MobiusMap([[1.0, 0.0], [1.0, 1.0]]),
             0.02,
-            _smooth_phi(center=0.0, r_pl=0.2, r_sup=0.4),
+            smooth_phi(center=0.0, r_pl=0.2, r_sup=0.4),
             tol=1e-8,
             max_depth=14,
         )

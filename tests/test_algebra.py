@@ -30,13 +30,9 @@ from conftest import (
     kappa_action,
     rand_coeff,
     rand_crossed,
+    single0,
     std_mobius_action,
 )
-
-
-def single0(action, lab, f):
-    """One term, scalar 1x1 matrix, degree (0, 0) coefficient."""
-    return CrossedForm.single(action, lab, [[fc_field(f)]])
 
 
 class TestConvolution:

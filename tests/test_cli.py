@@ -12,7 +12,9 @@ The last bits of a float depend on which SIMD kernels numpy dispatches to on
 the machine; the tolerance is ten times the worst drift seen between two
 machines (9.8e-16 absolute) and a hundred times below the smallest nonzero
 check tolerance (1e-12), so no check outcome can hide inside it.  A change of
-numerical method regenerates the goldens instead of widening it.
+numerical method regenerates the goldens instead of widening it.  A golden changes only by
+``scripts/regen_goldens.py NAME...``, in a commit of its own; its
+``--check`` lists every float that has moved on the machine at hand.
 """
 
 import copy
@@ -232,9 +234,22 @@ def _tau0_for_odd(scn):
     scn["collapse"]["psi"] = {"kind": "tau0"}
 
 
+def _expect_without_collapse(scn):
+    # with no collapse there is no number to hold the expectation against
+    del scn["pair_odd"]["collapse"]
+    scn["pair_odd"]["expect"] = {"value": [5.0, 0.0]}
+
+
+def _unknown_dist_kind(scn):
+    # the kind is refused before a missing z0 could be looked up
+    scn["dist"] = [{"check": "laplace", "phi": "z"}]
+
+
 @pytest.mark.parametrize("command, fixture, mutate, message", [
     ("trace", "dilation2.json", _close_roots, "do not merge into one multiple fixed point"),
     ("pair-odd", "odd.json", _tau0_for_odd, "pair_odd.collapse: 'psi' is not a 1-cocycle"),
+    ("pair-odd", "odd.json", _expect_without_collapse, "pair_odd.expect: an expectation needs"),
+    ("dist-check", "dist.json", _unknown_dist_kind, "dist[0]: unknown check kind 'laplace'"),
 ])
 def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path, capsys):
     scn = json.loads((FIXTURES / fixture).read_text())
@@ -246,6 +261,22 @@ def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_dist_pair_checks_only_an_expected_value(tmp_path):
+    scn = json.loads((FIXTURES / "dist.json").read_text())
+    row = {"check": "pair", "z0": [0.05, 0.0], "phi": scn["dist"][0]["phi"]}
+    scn["dist"] = [row, dict(row, expect=[0.0, 0.0])]
+    p = tmp_path / "pair.json"
+    p.write_text(json.dumps(scn))
+    code, report = run_cli(["dist-check", str(p)], tmp_path / "report.json")
+    bare, held = report["identities"]
+    value = complex(bare["value"]["re"], bare["value"]["im"])
+    assert abs(value) > 0.01 and held["value"] == bare["value"]
+    # the row without an expectation carries its value and no check
+    assert "defect" not in bare and [c["name"] for c in report["checks"]] == ["pair[1]"]
+    assert held["defect"] == report["checks"][0]["defect"] == abs(value)
+    assert code == 1 and report["pass"] is False
 
 
 @pytest.mark.parametrize("command, fixture, key", [

@@ -10,7 +10,7 @@ from scipy import integrate as si
 
 from loctrace import fields as F
 from loctrace import groupoid as G
-from loctrace.algebra import CrossedForm, WordCrossedForm, diff_nabla, fc_field
+from loctrace.algebra import CrossedForm, WordCrossedForm, diff_nabla
 from loctrace.cocycles import (
     ConjugatedAction,
     PlateauError,
@@ -31,20 +31,12 @@ from loctrace.quadrature import NonConvergenceError
 from conftest import (
     dilation_action,
     kappa_action,
+    poly_action,
     rand_coeff,
     rand_crossed,
+    single0,
     std_mobius_action,
 )
-
-
-def single0(action, lab, f):
-    return CrossedForm.single(action, lab, [[fc_field(f)]])
-
-
-def poly_action(coeffs, radius=0.6):
-    """Free action generated by one polynomial germ."""
-    act = G.FreeGeneratorsAction([("g", G.PolyMap(coeffs))], F.Disk(0.0, radius))
-    return act, act.generator("g")
 
 
 class TestSimpleFixedPoints:

@@ -20,17 +20,9 @@ from loctrace.dist import (
 )
 from loctrace.quadrature import integrate_box, integrate_rect
 
+from conftest import smooth_phi
+
 QKW = dict(tol=1e-8, max_depth=14)
-
-
-def smooth_phi(center=0.0, r_pl=0.3, r_sup=0.6, cs=(1.0, 0.7 - 0.2j, 0.4j, 0.25)):
-    poly = F.fadd(
-        F.fconst(cs[0]),
-        F.fscale(F.fz(), cs[1]),
-        F.fscale(F.fzbar(), cs[2]),
-        F.fscale(F.fmul(F.fz(), F.fz()), cs[3]),
-    )
-    return F.bumped(poly, center, r_pl, r_sup)
 
 
 def polar_n1_oracle(z0, phi, R, nr=400, nth=512):

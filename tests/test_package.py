@@ -6,6 +6,7 @@ pinned reason to stay."""
 import ast
 import importlib
 import importlib.util
+import os
 import pkgutil
 import subprocess
 import sys
@@ -49,6 +50,20 @@ def test_benchmark_tracer_sites_resolve():
     missing = [f"{getattr(o, '__name__', o)}.{n}" for o, n in sites if not hasattr(o, n)]
     assert missing == []
     assert all(callable(getattr(o, n)) for o, n in sites)
+
+
+def test_importing_the_package_loads_neither_the_cli_nor_the_scenarios():
+    # benchmark processes import the package compiled from source, and need
+    # neither the command line nor the seeded builders of verify and the tests
+    code = ("import sys, loctrace\n"
+            "names = ('loctrace.cli', 'loctrace.scenarios')\n"
+            "print([n in sys.modules for n in names])\n"
+            "import loctrace.cli\n"
+            "print([n in sys.modules for n in names])\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True)
+    assert run.stdout.splitlines() == ["[False, False]", "[True, True]"]
 
 
 def _unused_imports(path):

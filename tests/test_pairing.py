@@ -23,23 +23,7 @@ from loctrace.tensoralg import (
     universal_d,
 )
 
-from conftest import bott_projector, kappa_action, rand_coeff, std_mobius_action
-
-
-def odd_scenario(t=1.0, seed=0, weight=1.0):
-    """1 + t f U_s over a free dilation action, with its pairing weight."""
-    act = G.FreeGeneratorsAction(
-        [("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0)
-    )
-    s = act.generator("s")
-    rng = np.random.default_rng(seed)
-    f = F.bumped(
-        F.fadd(F.fconst(0.8 + 0.1j), F.fscale(F.fz(), 0.3)), 0.3, 0.02, 0.04
-    )
-    a = CrossedForm.single(act, s, [[fc_field(F.fscale(f, t))]])
-    u = CrossedForm.unit(act, 1).add(a)
-    psi = GroupCocycle1(weights={"s": weight})
-    return act, u, psi
+from conftest import bott_projector, kappa_one_form, odd_scenario, rand_coeff, std_mobius_action
 
 
 class TestPairEven:
@@ -146,19 +130,6 @@ class TestPairOdd:
         res = pair_odd(u, cap=3, certificate={"kind": "nilpotent"}, psi=psi, tol=1e-7)
         assert isinstance(res.truncated, UniversalOneForm)
         assert res.breakdown["dropped"] >= 0
-
-
-def kappa_one_form(seed=0):
-    """One-form word element over the parabolic pair with unit-word content."""
-    act = kappa_action()
-    rng = np.random.default_rng(seed)
-    x = CrossedForm(act, 1)
-    for nm in ("c", "v"):
-        x = x.add(
-            CrossedForm.single(act, act.by_name(nm), [[fc_field(rand_coeff(rng))]])
-        )
-    w = WordCrossedForm.from_crossed(x, cap=3)
-    return act, universal_d(w.mul(w).add(w))
 
 
 class TestAnomalyDelta0:

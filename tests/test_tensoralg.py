@@ -23,7 +23,7 @@ from loctrace.tensoralg import (
     universal_d,
 )
 
-from conftest import kappa_action, rand_coeff, rand_crossed, std_mobius_action
+from conftest import bott_projector, kappa_action, rand_coeff, rand_crossed, std_mobius_action
 
 
 def nilpotent_elem(act, seed=0):
@@ -123,14 +123,9 @@ class TestLiftInvertible:
 
 
 class TestLiftIdempotent:
-    def bott(self):
-        from conftest import bott_projector
-
-        return bott_projector()
-
     @pytest.mark.parametrize("cap", [2, 3])
     def test_residual_exact_mod_cap(self, cap):
-        act, e = self.bott()
+        act, e = bott_projector()
         eh = lift_idempotent(e, cap)
         res = eh.mul(eh).sub(eh)
         assert crossed_max_abs(res) < 1e-9
@@ -151,7 +146,7 @@ class TestLiftIdempotent:
     def test_cap_drops_are_reported(self):
         # the window projector's defect series never terminates, so the
         # capped lift must record what it threw away
-        act, e = self.bott()
+        act, e = bott_projector()
         eh = lift_idempotent(e, 3)
         assert eh.dropped > 0
 
