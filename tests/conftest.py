@@ -56,6 +56,16 @@ def kappa_one_form(seed=0):
     return act, universal_d(w.mul(w).add(w))
 
 
+def nilpotent_elem(act, seed=0):
+    """Strictly upper triangular single-label element; squares to zero."""
+    rng = np.random.default_rng(seed)
+    mat = [
+        [fc_field(F.fzero()), fc_field(rand_coeff(rng))],
+        [fc_field(F.fzero()), fc_field(F.fzero())],
+    ]
+    return CrossedForm.single(act, act.by_name("a"), mat, size=2)
+
+
 def odd_scenario(t=1.0):
     """1 + t f U_s over a free dilation action, with the pairing weight 1."""
     act = G.FreeGeneratorsAction([("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0))
@@ -64,6 +74,23 @@ def odd_scenario(t=1.0):
         CrossedForm.single(act, act.generator("s"), [[fc_field(F.fscale(f, t))]])
     )
     return act, u, GroupCocycle1(weights={"s": 1.0})
+
+
+def odd_blocks(seed):
+    """Invertibles 1 + f_i U_s, i = 1, 2, with random small-support f_i, on
+    odd_scenario's action; their block diagonal; and the pairing weight 1.3."""
+    act = G.FreeGeneratorsAction([("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0))
+    s = act.generator("s")
+    rng = np.random.default_rng(seed)
+    f1 = rand_coeff(rng, 0.25, 0.03, 0.05)
+    f2 = rand_coeff(rng, -0.2, 0.03, 0.05)
+    zero = fc_field(F.fzero())
+    u1 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f1)]]))
+    u2 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f2)]]))
+    ublock = CrossedForm.unit(act, 2).add(
+        CrossedForm.single(act, s, [[fc_field(f1), zero], [zero, fc_field(f2)]])
+    )
+    return u1, u2, ublock, GroupCocycle1(weights={"s": 1.3})
 
 
 @pytest.fixture

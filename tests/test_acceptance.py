@@ -42,7 +42,6 @@ from loctrace.cocycles import (
 from loctrace.dist import RenormKernel, check_covariance, check_dolbeault, pair_kernel
 from loctrace.pairing import anomaly_delta0, anomaly_delta1, pair_even, pair_odd
 from loctrace.tensoralg import (
-    GroupCocycle1,
     crossed_max_abs,
     lift_idempotent,
     lift_invertible,
@@ -55,6 +54,8 @@ from conftest import (
     dilation_action,
     kappa_action,
     kappa_one_form,
+    nilpotent_elem,
+    odd_blocks,
     odd_scenario,
     poly_action,
     rand_coeff,
@@ -81,16 +82,6 @@ class budget:
             assert elapsed < self.seconds, (
                 f"took {elapsed:.2f}s, budget {self.seconds:g}s"
             )
-
-
-def nilpotent_elem(act, seed):
-    """Strictly upper triangular single-label element; squares to zero."""
-    rng = np.random.default_rng(seed)
-    mat = [
-        [fc_field(F.fzero()), fc_field(rand_coeff(rng))],
-        [fc_field(F.fzero()), fc_field(F.fzero())],
-    ]
-    return CrossedForm.single(act, act.by_name("a"), mat, size=2)
 
 
 # ---------------------------------------------------------------------------
@@ -352,18 +343,7 @@ def test_criterion_09_odd_pairing_properties():
         assert abs(pair_odd(ut, psi=psi, **kw).collapsed) < 1e-6, t
 
     # a block diagonal pairs to the sum of its blocks, wordwise
-    act = G.FreeGeneratorsAction([("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0))
-    s = act.generator("s")
-    rng = np.random.default_rng(909)
-    f1 = rand_coeff(rng, 0.25, 0.03, 0.05)
-    f2 = rand_coeff(rng, -0.2, 0.03, 0.05)
-    zero = fc_field(F.fzero())
-    u1 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f1)]]))
-    u2 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f2)]]))
-    ublock = CrossedForm.unit(act, 2).add(
-        CrossedForm.single(act, s, [[fc_field(f1), zero], [zero, fc_field(f2)]])
-    )
-    psi = GroupCocycle1(weights={"s": 1.3})
+    u1, u2, ublock, psi = odd_blocks(909)
     a = pair_odd(u1, psi=psi, **kw)
     b = pair_odd(u2, psi=psi, **kw)
     c = pair_odd(ublock, psi=psi, **kw)

@@ -12,9 +12,11 @@ The last bits of a float depend on which SIMD kernels numpy dispatches to on
 the machine; the tolerance is ten times the worst drift seen between two
 machines (9.8e-16 absolute) and a hundred times below the smallest nonzero
 check tolerance (1e-12), so no check outcome can hide inside it.  A change of
-numerical method regenerates the goldens instead of widening it.  A golden changes only by
-``scripts/regen_goldens.py NAME...``, in a commit of its own; its
-``--check`` lists every float that has moved on the machine at hand.
+numerical method regenerates the goldens instead of widening it.
+
+A golden changes only by ``scripts/regen_goldens.py NAME...``, in a commit
+of its own; ``scripts/regen_goldens.py --check`` lists every float that has
+moved on the machine at hand.
 """
 
 import copy

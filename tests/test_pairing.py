@@ -16,14 +16,21 @@ from loctrace.pairing import (
 from loctrace.quadrature import NonConvergenceError
 from loctrace.tensoralg import (
     CertificateError,
-    GroupCocycle1,
     TruncatedSeries,
     UniversalOneForm,
     nat_key,
     universal_d,
 )
 
-from conftest import bott_projector, kappa_one_form, odd_scenario, rand_coeff, std_mobius_action
+from conftest import (
+    bott_projector,
+    kappa_action,
+    kappa_one_form,
+    odd_blocks,
+    odd_scenario,
+    rand_coeff,
+    std_mobius_action,
+)
 
 
 class TestPairEven:
@@ -77,24 +84,7 @@ class TestPairOdd:
 
     def test_block_additivity_exact(self):
         # diag(u1, u2) pairs to the sum of the diagonal pairings
-        act = G.FreeGeneratorsAction(
-            [("s", G.AffineMap(2.0, 0.0))], F.Disk(0.0, 1.0)
-        )
-        s = act.generator("s")
-        rng = np.random.default_rng(3)
-        f1 = rand_coeff(rng, 0.25, 0.03, 0.05)
-        f2 = rand_coeff(rng, -0.2, 0.03, 0.05)
-        zero = fc_field(F.fzero())
-        u1 = CrossedForm.unit(act, 1).add(
-            CrossedForm.single(act, s, [[fc_field(f1)]])
-        )
-        u2 = CrossedForm.unit(act, 1).add(
-            CrossedForm.single(act, s, [[fc_field(f2)]])
-        )
-        ublock = CrossedForm.unit(act, 2).add(
-            CrossedForm.single(act, s, [[fc_field(f1), zero], [zero, fc_field(f2)]])
-        )
-        psi = GroupCocycle1(weights={"s": 1.3})
+        u1, u2, ublock, psi = odd_blocks(3)
         kw = dict(cap=3, certificate={"kind": "nilpotent"}, psi=psi, tol=1e-7)
         a = pair_odd(u1, **kw)
         b = pair_odd(u2, **kw)

@@ -5,7 +5,7 @@ import pytest
 
 from loctrace import fields as F
 from loctrace import groupoid as G
-from loctrace.algebra import CrossedForm, DWord, WordCrossedForm, fc_field
+from loctrace.algebra import CrossedForm, DWord, WordCrossedForm
 from loctrace.pairing import pair_odd
 from loctrace.tensoralg import (
     CertificateError,
@@ -23,18 +23,13 @@ from loctrace.tensoralg import (
     universal_d,
 )
 
-from conftest import bott_projector, kappa_action, rand_coeff, rand_crossed, std_mobius_action
-
-
-def nilpotent_elem(act, seed=0):
-    """Strictly upper triangular single-label element; squares to zero."""
-    rng = np.random.default_rng(seed)
-    f = rand_coeff(rng)
-    mat = [
-        [fc_field(F.fzero()), fc_field(f)],
-        [fc_field(F.fzero()), fc_field(F.fzero())],
-    ]
-    return CrossedForm.single(act, act.by_name("a"), mat, size=2)
+from conftest import (
+    bott_projector,
+    kappa_action,
+    nilpotent_elem,
+    rand_crossed,
+    std_mobius_action,
+)
 
 
 def assert_structurally_zero(w):
