@@ -85,8 +85,8 @@ def odd_blocks(seed):
     f1 = rand_coeff(rng, 0.25, 0.03, 0.05)
     f2 = rand_coeff(rng, -0.2, 0.03, 0.05)
     zero = fc_field(F.fzero())
-    u1 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f1)]]))
-    u2 = CrossedForm.unit(act, 1).add(CrossedForm.single(act, s, [[fc_field(f2)]]))
+    u1 = CrossedForm.unit(act, 1).add(single0(act, s, f1))
+    u2 = CrossedForm.unit(act, 1).add(single0(act, s, f2))
     ublock = CrossedForm.unit(act, 2).add(
         CrossedForm.single(act, s, [[fc_field(f1), zero], [zero, fc_field(f2)]])
     )
