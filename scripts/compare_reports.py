@@ -26,6 +26,8 @@ import subprocess
 import sys
 import tempfile
 
+# The one list of golden runs: scripts/regen_goldens.py, scripts/reach.py and
+# tests/test_cli.py all read it, so a new fixture needs one edit here.
 RUNS = [
     ("trace", "dilation2.json"),
     ("automorphisms", "dilation2.json"),
@@ -37,6 +39,13 @@ RUNS = [
     ("verify", "--seed=3"),
     ("verify", "--seed=7"),
 ]
+
+
+def golden_name(command, arg):
+    """File name of a run's golden report under fixtures/golden."""
+    if arg.startswith("--seed="):
+        return f"{command}-seed{arg.split('=', 1)[1]}.json"
+    return f"{os.path.splitext(arg)[0]}.{command}.json"
 
 
 def report(checkout, command, arg):

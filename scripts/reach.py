@@ -2,9 +2,10 @@
 
     python3 scripts/reach.py [--seed N]
 
-Runs, in one interpreter and with this checkout's ``src/``, the seven golden
-fixture commands, ``verify --seed 3`` and ``verify --seed 7``, and then every
-operation of the three benchmark workloads at seed N (default 3), with
+Runs, in one interpreter and with this checkout's ``src/``, the golden runs
+of ``compare_reports.RUNS`` (the seven fixture commands, ``verify --seed 3``
+and ``verify --seed 7``), and then every operation of the three benchmark
+workloads at seed N (default 3), with ``compare_reports.py`` and
 ``perfbench/workloads.py`` loaded by path.  Reports go to a temporary
 directory and no bytecode is written, so nothing is written to the checkout.
 
@@ -29,17 +30,15 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 PKG = os.path.join(SRC, "loctrace")
 
-RUNS = [
-    ("trace", "dilation2.json"),
-    ("automorphisms", "dilation2.json"),
-    ("pair-even", "bott.json"),
-    ("pair-odd", "odd.json"),
-    ("anomaly", "anomaly.json"),
-    ("dist-check", "dist.json"),
-    ("todd", "todd.json"),
-    ("verify", "--seed=3"),
-    ("verify", "--seed=7"),
-]
+
+def load_by_path(name, directory):
+    """The module ``directory/name.py`` of this checkout, loaded from its
+    file with no directory added to sys.path."""
+    path = os.path.join(ROOT, directory, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 class LineTracer:
@@ -133,16 +132,12 @@ def run_traffic(seed):
 
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "report.json")
-        for command, arg in RUNS:
+        for command, arg in load_by_path("compare_reports", "scripts").RUNS:
             if not arg.startswith("--"):
                 arg = os.path.join(ROOT, "fixtures", arg)
             code = cli.main([command, arg, "--out", out])
             print(f"{command} {os.path.basename(arg)}: exit {code}")
-    spec = importlib.util.spec_from_file_location(
-        "workloads", os.path.join(ROOT, "perfbench", "workloads.py")
-    )
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_by_path("workloads", "perfbench")
     for name, build in workloads.WORKLOADS.items():
         raised = 0
         ops = build(seed)

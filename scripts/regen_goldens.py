@@ -23,16 +23,10 @@ import json
 import os
 import sys
 
-from compare_reports import RUNS, describe, diffs, is_float, report
+from compare_reports import RUNS, describe, diffs, golden_name, is_float, report
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 GOLDEN = os.path.join(ROOT, "fixtures", "golden")
-
-
-def golden_name(command, arg):
-    if arg.startswith("--seed="):
-        return f"{command}-seed{arg.split('=', 1)[1]}.json"
-    return f"{os.path.splitext(arg)[0]}.{command}.json"
 
 
 RUN_OF = {golden_name(command, arg): (command, arg) for command, arg in RUNS}

@@ -459,7 +459,7 @@ def _verify_checks(rng, tol, depth, cap):
     omega_el = S.rand_crossed(rngc, act, ("a", "b"))
     a_el = S.rand_crossed(rngc, act, ("a",), degrees=((0, 1),))
     om = T.universal_d(WordCrossedForm.from_crossed(omega_el, 2))
-    _, cross = _delta0_cross_path(om, act.domain, 16)
+    _, cross = _delta0_cross_path(om, act.domain, G.DEFAULT_JET_ORDER)
     checks.append(_check("delta0-cross-path", cross, 0.0))
     r1 = P.anomaly_delta1(
         WordCrossedForm.from_crossed(a_el, 2), om, tol=tol, max_depth=depth

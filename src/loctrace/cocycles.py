@@ -4,9 +4,10 @@ The localized trace of a crossed element sums, over isolated fixed points z0
 of the maps carrying its coefficients, minus the (n-1)-st Taylor coefficient
 of H * a at z0; here n is the local order, a is the holomorphic restriction
 jet of the diagonal coefficient, and H is the jet of (z - z0)^n / (g(z) - z).
-Replacing n by any padded m >= n multiplies H by (z - z0)^(m-n) and shifts
-the extracted index the same way, so the value is unchanged; both entry
-points share the extraction kernel on purpose.
+Padding n to any m >= n shifts H, one reciprocal series per fixed point, by
+m - n and the extracted index with it; it also raises the a-jet's order to
+m - 1, so a padding-invariance check tests only that the a-jet does not
+depend on its order.  Both entry points share the extraction kernel on purpose.
 
 Integration over the units pairs the dz^dzbar slot of identity-germ
 coefficients with the plane: the form measure is -2i dx dy.
@@ -23,6 +24,7 @@ from __future__ import annotations
 from . import fields as F
 from .algebra import CrossedForm, diff_d, diff_delta, diff_nabla
 from .groupoid import (
+    DEFAULT_JET_ORDER,
     GroupAction,
     automorphism_order,
     compose_maps,
@@ -106,7 +108,7 @@ def _trace_values(x, keys, region, jet_order, pad, breakdown):
     return out
 
 
-def phi_trace(x, region=None, jet_order=16, pad=0):
+def phi_trace(x, region=None, jet_order=DEFAULT_JET_ORDER, pad=0):
     """Localized fixed-point trace of a crossed element.  Identity germs and
     the constant part contribute nothing; each isolated fixed point of the
     other labels contributes its extraction coefficient."""
@@ -117,7 +119,7 @@ def phi_trace(x, region=None, jet_order=16, pad=0):
     return CocycleValue(total, 0.0, breakdown)
 
 
-def phi_trace_words(x, region=None, jet_order=16):
+def phi_trace_words(x, region=None, jet_order=DEFAULT_JET_ORDER):
     """Wordwise localized trace of a word-indexed element: a map from word
     keys to complex numbers (zero-valued words are kept out)."""
     got = _trace_values(x, x.sorted_keys(), region, jet_order, 0, [])

@@ -10,7 +10,7 @@ Top-level keys:
 
 ``group``       kind + generators + optional domain region
 ``truncation``  word-length cap for the lifted algebra (default 4)
-``jet_order``   jet length used by fixed-point extraction (default 16)
+``jet_order``   jet length of fixed-point extraction (default 16; order n needs 2n - 1)
 ``quadrature``  {"tol": .., "depth": ..}
 ``elements``    named crossed elements: scalar part plus (label, matrix) terms
 ``ktheory``     named lifting problems with certificates
@@ -32,7 +32,6 @@ from .algebra import CrossedForm, FormCoefficient
 __all__ = ["ConfigError", "Scenario", "load_scenario", "parse_scenario"]
 
 DEFAULT_TRUNCATION = 4
-DEFAULT_JET_ORDER = 16
 
 
 class ConfigError(Exception):
@@ -294,7 +293,7 @@ def parse_scenario(raw, name=None):
         name or raw.get("name", "scenario"),
         action,
         int(raw.get("truncation", DEFAULT_TRUNCATION)),
-        int(raw.get("jet_order", DEFAULT_JET_ORDER)),
+        int(raw.get("jet_order", G.DEFAULT_JET_ORDER)),
         float(quad.get("tol", DEFAULT_TOL)),
         int(quad.get("depth", DEFAULT_DEPTH)),
         elements,

@@ -29,7 +29,7 @@ import weakref
 import numpy as np
 
 from . import fields as F
-from .jets import Jet1, identity_jet, j_div_valuation, monomial_jet, valuation
+from .jets import Jet1, j_recip, valuation
 
 __all__ = [
     "canonical_psl2",
@@ -58,8 +58,9 @@ FIXPOINT_CLUSTER = 1e-3
 NEWTON_GRID = 32
 NEWTON_TOL = 1e-12
 NEWTON_MAXIT = 60
-DEFAULT_JET_ORDER = 16
 DEFAULT_N_MAX = 8
+# order n reads the jet of g(z) - z to index 2n - 1: 16 >= 2 * DEFAULT_N_MAX - 1
+DEFAULT_JET_ORDER = 16
 
 
 def canonical_psl2(mat):
@@ -627,37 +628,33 @@ def _fix_jet(g, z0, order):
     key = (w.real.hex(), w.imag.hex(), order)  # exact, signed zeros apart
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = Jet1(
-            z0, g.jet_at(z0, order).coeffs - identity_jet(z0, order).coeffs
-        )
+        d = g.jet_at(z0, order).coeffs
+        d[0] -= z0
+        d[1:2] -= 1.0
+        hit = memo[key] = Jet1(z0, d)
     return hit
 
 
 class Automorphism:
-    """A group label together with one of its isolated fixed points, the local
-    order n (valuation of g(z) - z there), and cached jets."""
+    """A group label with one of its isolated fixed points, the local order n
+    (valuation of the jet d of g(z) - z there), d, and 1/(d/(z - z0)^n) to n terms."""
 
-    def __init__(self, label, cmap, z0, order_n, d_jet, jet_order):
+    def __init__(self, label, cmap, z0, order_n, d_jet):
         self.label = label
         self.cmap = cmap
         self.z0 = complex(z0)
         self.order = order_n
         self.d_jet = d_jet
-        self.jet_order = jet_order
-        self._h_cache = {}
+        if order_n != math.inf:  # an identity germ has no reciprocal
+            self._recip = j_recip(Jet1(z0, d_jet.coeffs[order_n : 2 * order_n])).coeffs
 
     def h_jet(self, m=None):
-        """Jet of (z - z0)^m / (g(z) - z); m defaults to the local order and
-        may be padded higher, which shifts the extraction index the same way."""
+        """Jet of (z - z0)^m / (g(z) - z) to length m: the reciprocal shifted
+        by m - n.  m defaults to the local order and may be padded higher."""
         m = self.order if m is None else int(m)
         if m < self.order:
             raise ValueError(f"padding order {m} below the local order {self.order}")
-        hit = self._h_cache.get(m)
-        if hit is None:
-            num = monomial_jet(self.z0, m, self.jet_order)
-            hit = j_div_valuation(num, self.d_jet)
-            self._h_cache[m] = hit
-        return hit
+        return Jet1(self.z0, np.concatenate((np.zeros(m - self.order), self._recip)))
 
     def trace_coefficient(self, a_jet, m=None):
         """Single fixed-point contribution: minus the coefficient of
@@ -676,19 +673,29 @@ class Automorphism:
 
 
 def automorphism_order(g, z0, jet_order=DEFAULT_JET_ORDER, label=None):
-    """Local order data of g at a fixed point z0; orders above DEFAULT_N_MAX
-    raise UnsupportedOrderError."""
+    """Local order data of g at a fixed point z0.  Orders above DEFAULT_N_MAX,
+    and jets too short for the kernel (jet_order < 2n - 1, or a zero jet off
+    an identity germ), raise UnsupportedOrderError: the kernel never reads a
+    truncated jet."""
     d = _fix_jet(g, z0, jet_order)
     v = valuation(d)
     if v is None:
-        return Automorphism(label, g, z0, math.inf, d, jet_order)
+        if g.is_identity_germ():
+            return Automorphism(label, g, z0, math.inf, d)
+        raise F.UnsupportedOrderError(
+            f"g(z) - z vanishes to jet order {jet_order} at {z0} off an identity germ"
+        )
     if v == 0:
         raise ValueError(f"{z0} is not a fixed point: g(z0) - z0 = {d.coeffs[0]}")
     if v > DEFAULT_N_MAX:
         raise F.UnsupportedOrderError(
             f"local order {v} at {z0} exceeds the bound {DEFAULT_N_MAX}"
         )
-    return Automorphism(label, g, z0, v, d, jet_order)
+    if jet_order < 2 * v - 1:
+        raise F.UnsupportedOrderError(
+            f"local order {v} at {z0} needs jet order {2 * v - 1}, got {jet_order}"
+        )
+    return Automorphism(label, g, z0, v, d)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ of one complex variable, truncated at a fixed order.  Jet2 does the same for
 smooth functions of (z, zbar): coefficients c_{p,q} with p+q <= order of the
 expansion in (z - base) and conj(z - base).
 
+The one series operation is the reciprocal, ``j_recip``.  The fixed-point
+kernel (``groupoid.Automorphism``) needs no other: it divides by g(z) - z
+through the reciprocal of (g(z) - z) / (z - z0)^n, and multiplies by a power
+of (z - z0) by shifting indices.
+
 Everything here is plain complex arithmetic on short coefficient arrays; no
 evaluation of expression trees happens at this level.
 """
@@ -13,15 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "Jet1",
-    "Jet2",
-    "valuation",
-    "j_mul",
-    "j_div_valuation",
-    "identity_jet",
-    "monomial_jet",
-]
+__all__ = ["Jet1", "Jet2", "valuation", "j_recip"]
 
 # Coefficients below tol*max(1, largest coefficient) count as zero when
 # measuring valuations.  Relative with an absolute floor of 1.
@@ -50,42 +47,6 @@ class Jet1:
         return f"Jet1(base={self.base:.6g}, coeffs={np.round(self.coeffs, 10)})"
 
 
-def identity_jet(base, order):
-    """Jet of the map z -> z at the given base point."""
-    c = np.zeros(order + 1, dtype=complex)
-    c[0] = base
-    if order >= 1:
-        c[1] = 1.0
-    return Jet1(base, c)
-
-
-def monomial_jet(base, n, order):
-    """Jet of (z - base)^n at base."""
-    c = np.zeros(order + 1, dtype=complex)
-    if n <= order:
-        c[n] = 1.0
-    return Jet1(base, c)
-
-
-def _check_same_base(a, b):
-    if abs(a.base - b.base) > 1e-9 * max(1.0, abs(a.base)):
-        raise ValueError(f"jet bases differ: {a.base} vs {b.base}")
-
-
-def j_mul(a, b, order=None):
-    """Cauchy product truncated to min(orders) unless a lower order is asked."""
-    _check_same_base(a, b)
-    n = min(a.order, b.order)
-    if order is not None:
-        n = min(n, order)
-    out = np.zeros(n + 1, dtype=complex)
-    for k in range(n + 1):
-        lo = a.coeffs[: k + 1]
-        hi = b.coeffs[k::-1]
-        out[k] = np.dot(lo, hi[: len(lo)])
-    return Jet1(a.base, out)
-
-
 def valuation(a):
     """Index of the first nonzero coefficient, measured with a relative
     threshold; returns None for the (numerically) zero jet."""
@@ -109,29 +70,6 @@ def j_recip(a):
     for k in range(1, n + 1):
         out[k] = -np.dot(a.coeffs[1 : k + 1], out[k - 1 :: -1][: k]) / c0
     return Jet1(a.base, out)
-
-
-def j_div_valuation(num, den, order=None):
-    """Divide jets after cancelling the common leading zero of the denominator.
-
-    The denominator's valuation v must not exceed the numerator's; both are
-    shifted down by v and then divided as ordinary power series.  The result
-    has order min(orders) - v unless truncated further.
-    """
-    _check_same_base(num, den)
-    v = valuation(den)
-    if v is None:
-        raise ZeroDivisionError("division by the zero jet")
-    vn = valuation(num)
-    if vn is not None and vn < v:
-        raise ValueError(f"numerator valuation {vn} below denominator valuation {v}")
-    n = min(num.order, den.order) - v
-    if n < 0:
-        raise ValueError("jets too short for the requested division")
-    num_s = Jet1(num.base, num.coeffs[v : v + n + 1])
-    den_s = Jet1(den.base, den.coeffs[v : v + n + 1])
-    out = j_mul(num_s, j_recip(den_s), order)
-    return out
 
 
 class Jet2:

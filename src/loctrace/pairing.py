@@ -17,14 +17,14 @@ import cmath
 import math
 
 from . import fields as F
-from .algebra import DWord, diff_nabla, word_mu
+from .algebra import DWord, diff_nabla, word_length, word_mu
 from .cocycles import (
     PlateauError,
     integrate_units,
     integrate_units_words,
     phi_trace_words,
 )
-from .groupoid import automorphism_order, fixed_points
+from .groupoid import DEFAULT_JET_ORDER, automorphism_order, fixed_points
 from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError, integrate_box
 from .tensoralg import (
     Tau0,
@@ -65,14 +65,14 @@ def _scalar_series(action, cap, values):
     return TruncatedSeries(action, 1, cap, {w: [[v]] for w, v in values.items()})
 
 
-def _scalar_oneform(action, cap, values):
-    return UniversalOneForm(action, 1, cap, {k: [[v]] for k, v in values.items()})
+def _scalar_oneform(action, cap, values, dropped=0):
+    terms = {k: [[v]] for k, v in values.items()}
+    return UniversalOneForm(action, 1, cap, terms, dropped)
 
 
 def pair_even(
     e,
     cap,
-    region=None,
     tol=DEFAULT_TOL,
     max_depth=DEFAULT_DEPTH,
 ):
@@ -91,7 +91,7 @@ def pair_even(
     nab = diff_nabla(e_til)
     prod = e_til.mul(nab).mul(nab)
 
-    phi_part = phi_trace_words(e_til, region)
+    phi_part = phi_trace_words(e_til)
     int_part, est = integrate_units_words(prod, tol, max_depth)
 
     values = {}
@@ -121,7 +121,6 @@ def pair_odd(
     cap,
     certificate,
     psi=None,
-    region=None,
     tol=DEFAULT_TOL,
     max_depth=DEFAULT_DEPTH,
 ):
@@ -142,7 +141,7 @@ def pair_odd(
     du = universal_d(u_hat)
     omega = u_inv.mul(du)
 
-    phi_part = phi_trace_words(omega, region)
+    phi_part = phi_trace_words(omega)
     heavy = u_inv.mul(diff_nabla(u_hat)).mul(diff_nabla(u_inv)).mul(du)
     int_part, est = integrate_units_words(heavy, tol, max_depth)
 
@@ -170,7 +169,7 @@ def pair_odd(
 # localization anomalies
 
 
-def anomaly_delta0(omega, region=None, jet_order=16):
+def anomaly_delta0(omega, region=None, jet_order=DEFAULT_JET_ORDER):
     """Fixed-point component of the anomaly, applied wordwise to a marked
     word element.
 
@@ -243,11 +242,13 @@ def anomaly_delta1(
     log-derivative cocycle.  Intrinsic route: -(1/2 pi i) * unit-space
     integral of nabla(A) * omega.  Both are returned; they must agree within
     twice the quadrature tolerance, which pins the surface convention
-    dz^dzbar = -2i dx dy.
+    dz^dzbar = -2i dx dy.  Both routes leave out word pairs joined past A's
+    cap; the explicit table's ``dropped`` counts them.
     """
     act = A.action
     explicit = {}
     est = 0.0
+    dropped = 0
     for ka, ma in A.terms.items():
         g = word_mu(act, ka).cmap
         kappa = None
@@ -255,6 +256,9 @@ def anomaly_delta1(
             kappa = F.ScalarField(g.log_deriv_tree(), None)
         for ko, mo in omega.terms.items():
             joined = DWord(ka + ko.pre, ko.mid, ko.post)
+            if word_length(joined) > A.cap:
+                dropped += 1
+                continue
             if not word_mu(act, joined).cmap.is_identity_germ():
                 continue
             n = len(ma)
@@ -286,7 +290,7 @@ def anomaly_delta1(
     for key in set(explicit) | set(intrinsic):
         defect = max(defect, abs(explicit.get(key, 0.0) - intrinsic.get(key, 0.0)))
     result = Delta1Result(
-        _scalar_oneform(act, A.cap, explicit),
+        _scalar_oneform(act, A.cap, explicit, dropped),
         _scalar_oneform(act, A.cap, intrinsic),
         defect,
     )

@@ -20,6 +20,7 @@ moved on the machine at hand.
 """
 
 import copy
+import importlib.util
 import json
 import math
 import shutil
@@ -34,15 +35,18 @@ ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
 GOLDEN = FIXTURES / "golden"
 
-CASES = [
-    ("trace", "dilation2.json", "dilation2.trace.json"),
-    ("automorphisms", "dilation2.json", "dilation2.automorphisms.json"),
-    ("pair-even", "bott.json", "bott.pair-even.json"),
-    ("pair-odd", "odd.json", "odd.pair-odd.json"),
-    ("anomaly", "anomaly.json", "anomaly.anomaly.json"),
-    ("dist-check", "dist.json", "dist.dist-check.json"),
-    ("todd", "todd.json", "todd.todd.json"),
-]
+
+def _golden_runs():
+    """The fixture runs of scripts/compare_reports.py's one list of golden
+    runs, each with its golden's name; the script is loaded by path."""
+    path = ROOT / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return [(c, a, mod.golden_name(c, a)) for c, a in mod.RUNS if not a.startswith("--")]
+
+
+CASES = _golden_runs()
 
 
 def run_cli(args, out):
@@ -232,6 +236,13 @@ def _close_roots(scn):
     scn["group"] = {"kind": "free", "generators": gens, "domain": scn["group"]["domain"]}
 
 
+def _short_jet(scn):
+    # g = z + z^3 + z^4 has order 3 at 0: a jet of order 2 sees g(z) - z as 0
+    gens = {"a": {"kind": "poly", "coeffs": [0.0, 1.0, 0.0, 1.0, 1.0]}}
+    scn["group"] = {"kind": "free", "generators": gens, "domain": scn["group"]["domain"]}
+    scn["jet_order"] = 2
+
+
 def _tau0_for_odd(scn):
     scn["collapse"]["psi"] = {"kind": "tau0"}
 
@@ -249,6 +260,7 @@ def _unknown_dist_kind(scn):
 
 @pytest.mark.parametrize("command, fixture, mutate, message", [
     ("trace", "dilation2.json", _close_roots, "do not merge into one multiple fixed point"),
+    ("trace", "dilation2.json", _short_jet, "vanishes to jet order 2 at 0j"),
     ("pair-odd", "odd.json", _tau0_for_odd, "pair_odd.collapse: 'psi' is not a 1-cocycle"),
     ("pair-odd", "odd.json", _expect_without_collapse, "pair_odd.expect: an expectation needs"),
     ("dist-check", "dist.json", _unknown_dist_kind, "dist[0]: unknown check kind 'laplace'"),

@@ -142,6 +142,25 @@ class TestHigherOrder:
         got = phi_trace(single0(act, g, f))
         assert abs(got.value - want) < 1e-9
 
+    def test_short_jets_and_large_pads_never_truncate(self):
+        # g = z + z^3 + z^4 has order n = 3 at 0, where the closed form above
+        # gives -(0.25 - 0.3 + 0.7).  The kernel reads the jet of g(z) - z up
+        # to index 2n - 1 = 5 whatever the padding, and refuses a shorter jet.
+        act, g = poly_action([0.0, 1.0, 0.0, 1.0, 1.0])
+        poly = F.fadd(
+            F.fconst(0.7),
+            F.fscale(F.fz(), 0.3),
+            F.fscale(F.fmul(F.fz(), F.fz()), 0.25),
+        )
+        x = single0(act, g, F.bumped(poly, 0.0, 0.2, 0.35))
+        for jet_order in range(5, 17):
+            for pad in range(21):
+                got = phi_trace(x, jet_order=jet_order, pad=pad).value
+                assert abs(got - (-0.65)) < 1e-14, (jet_order, pad, got)
+        for jet_order in range(5):
+            with pytest.raises(F.UnsupportedOrderError, match="jet order"):
+                phi_trace(x, jet_order=jet_order)
+
     def test_padding_invariance(self):
         act, g = poly_action([0.0, 1.0, 0.5, 0.25])
         f = rand_coeff(np.random.default_rng(7), 0.0, 0.2, 0.35)

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from loctrace.jets import (
-    Jet1,
-    Jet2,
-    identity_jet,
-    j_div_valuation,
-    j_mul,
-    j_recip,
-    monomial_jet,
-    valuation,
-)
+from loctrace.jets import Jet1, Jet2, j_recip, valuation
 
 Z = sp.symbols("z")
 
@@ -38,31 +29,6 @@ def assert_jets_close(a, b, tol=1e-11):
         assert abs(a.coeff(k) - b.coeff(k)) < tol, (k, a.coeff(k), b.coeff(k))
 
 
-def test_identity_and_monomial():
-    j = identity_jet(0.3 + 0.1j, 5)
-    assert j.coeff(0) == 0.3 + 0.1j
-    assert j.coeff(1) == 1.0
-    assert all(j.coeff(k) == 0 for k in range(2, 6))
-    m = monomial_jet(0.0, 3, 5)
-    assert m.coeff(3) == 1.0
-    assert m.coeff(2) == 0.0
-
-
-@pytest.mark.parametrize("base", [0.0, 0.2 - 0.1j])
-def test_mul_against_sympy(base):
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        ca = rng.normal(size=6) + 1j * rng.normal(size=6)
-        cb = rng.normal(size=6) + 1j * rng.normal(size=6)
-        fa = sum(sp.nsimplify(c, rational=False) * (Z - base) ** k for k, c in enumerate(ca))
-        fb = sum(sp.nsimplify(c, rational=False) * (Z - base) ** k for k, c in enumerate(cb))
-        a = Jet1(base, list(ca))
-        b = Jet1(base, list(cb))
-        got = j_mul(a, b)
-        want = jet_from_sym(sp.expand(fa * fb), base, 5)
-        assert_jets_close(got, want)
-
-
 def test_recip_against_sympy():
     rng = np.random.default_rng(7)
     ca = rng.normal(size=7) + 1j * rng.normal(size=7)
@@ -73,10 +39,10 @@ def test_recip_against_sympy():
     want = jet_from_sym(1 / fa, 0.0, 6)
     assert_jets_close(got, want, tol=1e-10)
     # product with the original is the constant 1
-    one = j_mul(a, got)
-    assert abs(one.coeff(0) - 1) < 1e-12
+    one = np.convolve(ca, got.coeffs)[:7]
+    assert abs(one[0] - 1) < 1e-12
     for k in range(1, 7):
-        assert abs(one.coeff(k)) < 1e-10
+        assert abs(one[k]) < 1e-10
 
 
 def test_recip_rejects_zero_constant():
@@ -91,21 +57,6 @@ def test_valuation():
     assert valuation(Jet1(0.0, [1e-30, 0.0, 3.0])) == 2
     assert valuation(Jet1(0.0, [1e-3, 0.0, 3.0])) == 0
     assert valuation(Jet1(0.0, [5.0])) == 0
-
-
-def test_div_valuation_cancels_common_zero():
-    # num = z^2 * p, den = z^2 * q with q(0) != 0  ->  p/q as a jet
-    rng = np.random.default_rng(3)
-    cp = rng.normal(size=5) + 1j * rng.normal(size=5)
-    cq = rng.normal(size=5) + 1j * rng.normal(size=5)
-    cq[0] = 1.5 - 0.25j
-    p = sum(complex(c) * Z ** k for k, c in enumerate(cp))
-    q = sum(complex(c) * Z ** k for k, c in enumerate(cq))
-    num = jet_from_sym(sp.expand(Z ** 2 * p), 0.0, 6)
-    den = jet_from_sym(sp.expand(Z ** 2 * q), 0.0, 6)
-    got = j_div_valuation(num, den)
-    want = jet_from_sym(p / q, 0.0, 4)
-    assert_jets_close(got, want, tol=1e-10)
 
 
 def test_map_jet_matches_direct_series():

@@ -29,6 +29,7 @@ from conftest import (
     odd_blocks,
     odd_scenario,
     rand_coeff,
+    rand_crossed,
     std_mobius_action,
 )
 
@@ -209,6 +210,21 @@ class TestAnomalyDelta1:
         # the explicit route integrates first, through the anomaly quadrature
         with pytest.raises(NonConvergenceError, match="anomaly integral"):
             anomaly_delta1(A, om, tol=1e-12, max_depth=1)
+
+    def test_explicit_route_keeps_the_cap(self):
+        # one letter of A joined with a two-letter word of omega makes three:
+        # past cap 2 the capped product drops every such pair, and the
+        # explicit route must drop them too, not report them as a defect
+        act = kappa_action()
+        for cap, words, dropped in ((2, 0, 8), (3, 3, 0)):
+            rng = np.random.default_rng(5)
+            x = rand_crossed(rng, act, ("c",), degrees=((0, 1),))
+            A = WordCrossedForm.from_crossed(x, cap)
+            W = WordCrossedForm.from_crossed(rand_crossed(rng, act, ("c", "v")), cap)
+            res = anomaly_delta1(A, universal_d(W.mul(W)), tol=1e-6, max_depth=12)
+            assert len(res.explicit.terms) == len(res.intrinsic.terms) == words
+            assert res.explicit.dropped == dropped
+            assert res.defect <= 2e-6
 
     def test_dual_route_mobius(self):
         from loctrace.algebra import FormCoefficient
