@@ -1,7 +1,7 @@
 """Compare the CLI reports of two checkouts of this repository.
 
     python3 scripts/compare_reports.py PARENT CHANGE
-    python3 scripts/compare_reports.py --ops SEED PARENT CHANGE
+    python3 scripts/compare_reports.py --ops SEED[,SEED...] PARENT CHANGE
 
 Runs the seven golden fixture commands and ``verify --seed 3`` and
 ``--seed 7`` with the ``loctrace`` package of each checkout's ``src/``, on
@@ -11,11 +11,12 @@ relative change.  Exits 1 if a field other than a float differs (a changed
 string, count, flag, key set or list length), else 0.  Standard library
 only.
 
-With ``--ops SEED`` it runs instead every operation of the three benchmark
-workloads at that seed: each checkout's ``perfbench/workloads.py`` is loaded
-by path, with that checkout's ``loctrace``, and nothing is written to the
-checkout.  Every operation whose values differ by ``repr`` is printed, and
-the exit status is 1 if there is one, else 0.
+With ``--ops SEEDS`` it runs instead every operation of the three benchmark
+workloads at each of the comma-separated seeds (``--ops 3,5,7,11,61``): each
+checkout's ``perfbench/workloads.py`` is loaded by path, with that checkout's
+``loctrace``, and nothing is written to the checkout.  Every operation whose
+values differ by ``repr`` is printed, then one summary line per seed, and
+the exit status is 1 if any operation differs, else 0.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def describe(old, new):
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     if len(argv) == 4 and argv[0] == "--ops":
-        return compare_ops(int(argv[1]), *(os.path.abspath(p) for p in argv[2:]))
+        parent, change = (os.path.abspath(p) for p in argv[2:])
+        return max(compare_ops(int(s), parent, change) for s in argv[1].split(","))
     if len(argv) != 2:
         sys.stderr.write(__doc__)
         return 2

@@ -54,7 +54,6 @@ from .pairing import (
 from .tensoralg import (
     CertificateError,
     GroupCocycle1,
-    Tau0,
     crossed_max_abs,
     lift_idempotent,
     lift_invertible,

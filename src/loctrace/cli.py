@@ -125,7 +125,7 @@ def _serialize_breakdown(breakdown):
 def _cmd_trace(scn, section, args):
     x = scn.element(section["element"], "trace.element")
     region = CF.parse_region(section.get("region"), "trace.region")
-    pad = int(section.get("pad", 0))
+    pad = CF.require_int(section.get("pad", 0), "trace.pad", 0)
     got = C.phi_trace(x, region or scn.action.domain, scn.jet_order, pad=pad)
     payload = {
         "value": _cj(got.value),
@@ -209,8 +209,6 @@ def _cmd_pair_odd(scn, section, args):
         if cname not in scn.collapse:
             raise CF.ConfigError(f"pair_odd.collapse: {cname!r} is not declared")
         psi = scn.collapse[cname]
-        if psi.kind != "cocycle1":
-            raise CF.ConfigError(f"pair_odd.collapse: {cname!r} is not a 1-cocycle")
     res = P.pair_odd(
         entry["element"],
         scn.truncation,
@@ -529,8 +527,12 @@ def run(command, scenario_path, args):
             scn.truncation = args.trunc
         if args.jet_order is not None:
             scn.jet_order = args.jet_order
+        CF.require_int(scn.jet_order, "jet_order", 0)
+        CF.require_int(scn.depth, "quadrature.depth", 1)
     elif command != "verify":
         raise CF.ConfigError(f"{command}: a scenario file is required")
+    elif args.depth is not None:
+        CF.require_int(args.depth, "quadrature.depth", 1)
 
     runner, key = _RUNNERS[command]
     section = scn.section(key) if key else None

@@ -3,11 +3,11 @@
 The localized trace of a crossed element sums, over isolated fixed points z0
 of the maps carrying its coefficients, minus the (n-1)-st Taylor coefficient
 of H * a at z0; here n is the local order, a is the holomorphic restriction
-jet of the diagonal coefficient, and H is the jet of (z - z0)^n / (g(z) - z).
-Padding n to any m >= n shifts H, one reciprocal series per fixed point, by
-m - n and the extracted index with it; it also raises the a-jet's order to
-m - 1, so a padding-invariance check tests only that the a-jet does not
-depend on its order.  Both entry points share the extraction kernel on purpose.
+jet of the diagonal coefficient, and H, the jet of (z - z0)^n / (g(z) - z),
+is one reciprocal series per fixed point.  Padding only raises the a-jet's
+order past n - 1, so a padding-invariance check tests that the a-jet does
+not depend on its order.  Both entry points share the extraction kernel on
+purpose.
 
 Integration over the units pairs the dz^dzbar slot of identity-germ
 coefficients with the plane: the form measure is -2i dx dy.
@@ -81,13 +81,12 @@ def _phi_one_term(cmap, mat, region, jet_order, pad, tag, breakdown):
         return total
     for z0 in fixed_points(cmap, region):
         aut = automorphism_order(cmap, z0, jet_order)
-        m = aut.order + pad
-        a_jet = F.jet2_at(a_field, z0, max(m - 1, 0))
+        a_jet = F.jet2_at(a_field, z0, aut.order - 1 + pad)
         if not a_jet.flat:
             raise PlateauError(
                 f"coefficient at {tag} is inside a cutoff transition at fixed point {z0}"
             )
-        c = aut.trace_coefficient(a_jet.restrict_z(), m)
+        c = aut.trace_coefficient(a_jet.restrict_z())
         breakdown.append((tag, z0, aut.order, c))
         total += c
     return total
@@ -111,7 +110,10 @@ def _trace_values(x, keys, region, jet_order, pad, breakdown):
 def phi_trace(x, region=None, jet_order=DEFAULT_JET_ORDER, pad=0):
     """Localized fixed-point trace of a crossed element.  Identity germs and
     the constant part contribute nothing; each isolated fixed point of the
-    other labels contributes its extraction coefficient."""
+    other labels contributes its extraction coefficient.  ``pad`` reads the
+    coefficient jets pad orders past n - 1, which must not move the value."""
+    if pad < 0:
+        raise ValueError(f"negative jet padding {pad}")
     breakdown = []
     total = 0j
     for v in _trace_values(x, x.terms, region, jet_order, pad, breakdown).values():

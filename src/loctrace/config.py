@@ -14,7 +14,9 @@ Top-level keys:
 ``quadrature``  {"tol": .., "depth": ..}
 ``elements``    named crossed elements: scalar part plus (label, matrix) terms
 ``ktheory``     named lifting problems with certificates
-``collapse``    named trace functionals for collapsing word output
+``collapse``    named group 1-cocycles, kind ``"cocycle"`` with generator
+                ``weights`` or a label ``table``: ``pair_odd`` collapses its
+                marked-word table through one of them
 ``trace`` / ``todd`` / ``pair_even`` / ``pair_odd`` / ``anomaly`` / ``dist``
                 per-command sections, consumed by the CLI
 ``expect``      optional reference values the CLI turns into pass/fail checks
@@ -28,6 +30,7 @@ from . import fields as F
 from . import groupoid as G
 from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL
 from .algebra import CrossedForm, FormCoefficient
+from .tensoralg import GroupCocycle1
 
 __all__ = ["ConfigError", "Scenario", "load_scenario", "parse_scenario"]
 
@@ -40,6 +43,13 @@ class ConfigError(Exception):
 
 def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
+
+
+def require_int(v, path, low):
+    """v itself, if it is an integer of at least ``low``."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < low:
+        _fail(path, f"expected an integer of at least {low}, got {v!r}")
+    return v
 
 
 def parse_complex(v, path="value"):
@@ -262,31 +272,24 @@ def parse_scenario(raw, name=None):
     for cname, cspec in raw.get("collapse", {}).items():
         cp = f"collapse.{cname}"
         ckind = cspec.get("kind")
-        if ckind == "tau0":
-            from .tensoralg import Tau0
-
-            collapse[cname] = Tau0()
-        elif ckind == "cocycle":
-            from .tensoralg import GroupCocycle1
-
-            if "weights" in cspec:
-                weights = {
-                    g: parse_complex(v, f"{cp}.weights.{g}")
-                    for g, v in cspec["weights"].items()
-                }
-                collapse[cname] = GroupCocycle1(weights=weights)
-            elif "table" in cspec:
-                table = {
-                    resolve_label(action, g, f"{cp}.table.{g}"): parse_complex(
-                        v, f"{cp}.table.{g}"
-                    )
-                    for g, v in cspec["table"].items()
-                }
-                collapse[cname] = GroupCocycle1(table=table)
-            else:
-                _fail(cp, "a cocycle needs weights or a table")
-        else:
+        if ckind != "cocycle":
             _fail(cp + ".kind", f"unknown functional kind {ckind!r}")
+        if "weights" in cspec:
+            weights = {
+                g: parse_complex(v, f"{cp}.weights.{g}")
+                for g, v in cspec["weights"].items()
+            }
+            collapse[cname] = GroupCocycle1(weights=weights)
+        elif "table" in cspec:
+            table = {
+                resolve_label(action, g, f"{cp}.table.{g}"): parse_complex(
+                    v, f"{cp}.table.{g}"
+                )
+                for g, v in cspec["table"].items()
+            }
+            collapse[cname] = GroupCocycle1(table=table)
+        else:
+            _fail(cp, "a cocycle needs weights or a table")
 
     return Scenario(
         raw,

@@ -648,22 +648,14 @@ class Automorphism:
         if order_n != math.inf:  # an identity germ has no reciprocal
             self._recip = j_recip(Jet1(z0, d_jet.coeffs[order_n : 2 * order_n])).coeffs
 
-    def h_jet(self, m=None):
-        """Jet of (z - z0)^m / (g(z) - z) to length m: the reciprocal shifted
-        by m - n.  m defaults to the local order and may be padded higher."""
-        m = self.order if m is None else int(m)
-        if m < self.order:
-            raise ValueError(f"padding order {m} below the local order {self.order}")
-        return Jet1(self.z0, np.concatenate((np.zeros(m - self.order), self._recip)))
-
-    def trace_coefficient(self, a_jet, m=None):
-        """Single fixed-point contribution: minus the coefficient of
-        (z - z0)^(m-1) in h_jet(m) times the holomorphic restriction jet."""
-        m = self.order if m is None else int(m)
-        h = self.h_jet(m)
+    def trace_coefficient(self, a_jet):
+        """Single fixed-point contribution, the residue of a/(z - g(z)) at z0:
+        -sum_{i<n} r_i a_{n-1-i}, with r the reciprocal series and a the
+        holomorphic restriction jet, which must reach order n - 1."""
+        n = self.order
         acc = 0j
-        for j in range(m):
-            acc += h.coeff(j) * a_jet.coeff(m - 1 - j)
+        for i in range(n):
+            acc += complex(self._recip[i]) * a_jet.coeff(n - 1 - i)
         return -acc
 
     def __repr__(self):

@@ -7,8 +7,7 @@ expansion in (z - base) and conj(z - base).
 
 The one series operation is the reciprocal, ``j_recip``.  The fixed-point
 kernel (``groupoid.Automorphism``) needs no other: it divides by g(z) - z
-through the reciprocal of (g(z) - z) / (z - z0)^n, and multiplies by a power
-of (z - z0) by shifting indices.
+through the reciprocal of (g(z) - z) / (z - z0)^n.
 
 Everything here is plain complex arithmetic on short coefficient arrays; no
 evaluation of expression trees happens at this level.

@@ -27,12 +27,11 @@ from .cocycles import (
 from .groupoid import DEFAULT_JET_ORDER, automorphism_order, fixed_points
 from .quadrature import DEFAULT_DEPTH, DEFAULT_TOL, NonConvergenceError, integrate_box
 from .tensoralg import (
-    Tau0,
-    TruncatedSeries,
-    UniversalOneForm,
+    WordValues,
     lift_idempotent,
     lift_invertible,
     nat_key,
+    tau0,
     universal_d,
 )
 
@@ -61,15 +60,6 @@ class PairingResult:
         return f"PairingResult(words={len(self.truncated.terms)}, collapsed={c})"
 
 
-def _scalar_series(action, cap, values):
-    return TruncatedSeries(action, 1, cap, {w: [[v]] for w, v in values.items()})
-
-
-def _scalar_oneform(action, cap, values, dropped=0):
-    terms = {k: [[v]] for k, v in values.items()}
-    return UniversalOneForm(action, 1, cap, terms, dropped)
-
-
 def pair_even(
     e,
     cap,
@@ -81,12 +71,13 @@ def pair_even(
     Wordwise value per word w:  Phi(w-part of e~)  -  (1/2 pi i) * unit-space
     integral of the w-part of e~ nabla e~ nabla e~.  The collapsed number
     pushes the same combination through the multiplication map first, where
-    it is exact: the trace part dies (the trace ignores identity germs) and
-    the integral part becomes the unit-label integral over e nabla e nabla e.
-    The naive collapse of the word table, ``collapsed_truncated``, is
-    ``Tau0`` of it.
+    it is exact for an idempotent whose terms all sit over identity germs:
+    there the trace part dies (the trace ignores identity germs) and the
+    integral part becomes the unit-label integral over e nabla e nabla e.
+    Over other germs Phi(e) need not vanish and this route leaves it out;
+    whether the cap product wants it there is not settled.  The naive
+    collapse of the word table, ``collapsed_truncated``, is ``tau0`` of it.
     """
-    act = e.action
     e_til = lift_idempotent(e, cap)
     nab = diff_nabla(e_til)
     prod = e_til.mul(nab).mul(nab)
@@ -99,7 +90,7 @@ def pair_even(
         values[w] = values.get(w, 0.0) + v
     for w, v in int_part.items():
         values[w] = values.get(w, 0.0) - v / TWO_PI_I
-    rep = _scalar_series(act, cap, values)
+    rep = WordValues(e.action, values)
 
     # collapse-early: mu(e~) = e exactly, so the collapsed pairing is the
     # crossed-level integral; no word is ever dropped on this route
@@ -113,7 +104,7 @@ def pair_even(
         "est_error": est + direct.est_error,
         "dropped": prod.dropped,
     }
-    return PairingResult(rep, collapsed, Tau0().of(rep), breakdown)
+    return PairingResult(rep, collapsed, tau0(rep), breakdown)
 
 
 def pair_odd(
@@ -131,12 +122,8 @@ def pair_odd(
             / (2 (2 pi i)^(3/2)).
     Marked words are rotated into quotient representatives after evaluation;
     the evaluating functionals are traces, so the rotation only re-keys.
-    The collapsed number is psi of the one-form word table; psi must be a
-    group 1-cocycle, else ValueError.
+    The collapsed number is the group 1-cocycle psi of the marked-word table.
     """
-    if psi is not None and psi.kind != "cocycle1":
-        raise ValueError("one-form representatives collapse through a 1-cocycle")
-    act = u.action
     u_hat, u_inv = lift_invertible(u, cap, certificate)
     du = universal_d(u_hat)
     omega = u_inv.mul(du)
@@ -153,7 +140,7 @@ def pair_odd(
     for k, v in int_part.items():
         kk = nat_key(k)
         values[kk] = values.get(kk, 0.0) + c2 * v
-    rep = _scalar_oneform(act, cap, values)
+    rep = WordValues(u.action, values)
 
     collapsed = None if psi is None else psi.of(rep)
     breakdown = {
@@ -195,11 +182,11 @@ def anomaly_delta0(omega, region=None, jet_order=DEFAULT_JET_ORDER):
                 a_jet = F.jet2_at(f, z0, aut.order - 1)
                 if not a_jet.flat:
                     raise PlateauError(f"coefficient not flat at fixed point {z0}")
-                total += aut.trace_coefficient(a_jet.restrict_z(), aut.order)
+                total += aut.trace_coefficient(a_jet.restrict_z())
         if total != 0:
             nk = nat_key(key)
             values[nk] = values.get(nk, 0j) + total
-    return _scalar_oneform(act, omega.cap, values)
+    return WordValues(act, values)
 
 
 class Delta1Result:
@@ -290,8 +277,8 @@ def anomaly_delta1(
     for key in set(explicit) | set(intrinsic):
         defect = max(defect, abs(explicit.get(key, 0.0) - intrinsic.get(key, 0.0)))
     result = Delta1Result(
-        _scalar_oneform(act, A.cap, explicit, dropped),
-        _scalar_oneform(act, A.cap, intrinsic),
+        WordValues(act, explicit, dropped),
+        WordValues(act, intrinsic),
         defect,
     )
     if defect > 2.0 * tol:

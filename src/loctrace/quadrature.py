@@ -162,6 +162,8 @@ def _add_in_order(total, parts):
 
 
 def _integrate(f, rect, tol, max_depth, complex_points):
+    if max_depth < 1:  # no refinement level would compare two estimates
+        raise ValueError(f"quadrature depth {max_depth} below 1")
     x0, x1, y0, y1 = (float(v) for v in rect)
     if x1 <= x0 or y1 <= y0:
         return QuadratureResult(0.0, 0.0, 0, True)

@@ -9,10 +9,10 @@ convolution product of the letters as coefficient.  This module adds
   resp. idempotents modulo words longer than the cap, built as products of
   one-letter lifts (``WordCrossedForm.from_crossed``),
 * the universal differential on word-indexed elements,
-* read-only word-value tables for evaluated class representatives
-  (``TruncatedSeries`` for plain words, ``UniversalOneForm`` for marked
-  one-form words): results that callers only read,
-* collapse functionals turning a table into a number.
+* ``WordValues``, the read-only table of an evaluated class representative:
+  one complex value per plain or marked word,
+* collapse functionals turning a table into a number: ``tau0`` for plain
+  words, ``GroupCocycle1`` for marked words.
 """
 
 import math
@@ -213,59 +213,25 @@ def lift_idempotent(e, cap, tol=1e-10):
 # evaluated word values
 
 
-class _WordMatrices:
-    """Constant matrices keyed by words, truncated by word length: the
-    read-only values of a class representative evaluated wordwise.  Each
-    subclass says how a key is stored and how long it is (``_entry``)."""
+class WordValues:
+    """Values of a class representative evaluated wordwise, read-only.  A
+    key is a plain word (a tuple of labels) or a marked word (left word,
+    marked label); ``terms`` maps it to its value as a 1x1 complex matrix,
+    zeros left out.  ``dropped`` counts the words left out past the cap."""
 
-    def __init__(self, action, size, cap, terms=None, dropped=0):
+    def __init__(self, action, values, dropped=0):
         self.action = action
-        self.size = int(size)
-        self.cap = int(cap)
-        self.terms = {}
+        self.terms = {k: np.array([[v]], dtype=complex) for k, v in values.items() if v != 0}
         self.dropped = int(dropped)
-        if terms:
-            for key, m in terms.items():
-                key, length = self._entry(key)
-                if length > self.cap:
-                    self.dropped += 1
-                    continue
-                m = np.asarray(m, dtype=complex)
-                if np.any(m != 0):
-                    self.terms[key] = m
 
     def __repr__(self):
-        return (
-            f"{type(self).__name__}(size={self.size}, cap={self.cap}, "
-            f"words={len(self.terms)})"
-        )
-
-
-class TruncatedSeries(_WordMatrices):
-    """Words of group labels with constant matrix coefficients, truncated by
-    word length."""
-
-    @staticmethod
-    def _entry(w):
-        return tuple(w), len(w)
+        return f"WordValues(words={len(self.terms)}, dropped={self.dropped})"
 
 
 def nat_key(dkey):
     """Rotate a marked word to its stored quotient representative: the right
     factors move to the front, the marked letter goes last."""
     return (dkey.post + dkey.pre, dkey.mid)
-
-
-class UniversalOneForm(_WordMatrices):
-    """One-form words (left word, marked label) with constant matrices.
-
-    Keys are quotient representatives: the marked letter is always last, so
-    cyclic words are compared by rotating right factors to the front."""
-
-    @staticmethod
-    def _entry(key):
-        w, b = key
-        return (tuple(w), b), len(w) + 1
 
 
 def universal_d(x):
@@ -291,30 +257,23 @@ def universal_d(x):
 # collapse functionals
 
 
-class Tau0:
-    """Trace functional on a ``TruncatedSeries``: push words through the
-    multiplication map and read the matrix trace of everything landing on the
-    unit label."""
-
-    kind = "tau0"
-
-    def of(self, x):
-        total = 0.0 + 0.0j
-        for w, m in x.terms.items():
-            if word_mu(x.action, w).cmap.is_identity_germ():
-                total += np.trace(m)
-        return complex(total)
+def tau0(table):
+    """Trace collapse of a plain-word table: the sum of the values of the
+    words that the multiplication map sends to an identity germ."""
+    total = 0.0 + 0.0j
+    for w, m in table.terms.items():
+        if word_mu(table.action, w).cmap.is_identity_germ():
+            total += m[0, 0]
+    return complex(total)
 
 
 class GroupCocycle1:
-    """Additive group 1-cocycle pairing against the one-form words of a
-    ``UniversalOneForm``.
+    """Additive group 1-cocycle pairing against the marked words of a
+    ``WordValues`` table.
 
     The weight c is additive on products; it comes either from per-generator
     weights on a free action (extended by exponent sums) or from an explicit
     per-label table."""
-
-    kind = "cocycle1"
 
     def __init__(self, weights=None, table=None):
         if (weights is None) == (table is None):
@@ -340,5 +299,5 @@ class GroupCocycle1:
         for (w, b), m in x.terms.items():
             lab = x.action.compose(b, word_mu(x.action, w))
             if lab.cmap.is_identity_germ():
-                total += np.trace(m) * self.value(b)
+                total += m[0, 0] * self.value(b)
         return complex(total)

@@ -247,6 +247,22 @@ def _tau0_for_odd(scn):
     scn["collapse"]["psi"] = {"kind": "tau0"}
 
 
+def _negative_pad(scn):
+    scn["trace"]["pad"] = -1
+
+
+def _text_pad(scn):
+    scn["trace"]["pad"] = "x"
+
+
+def _negative_jet_order(scn):
+    scn["jet_order"] = -3
+
+
+def _zero_depth(scn):
+    scn["quadrature"]["depth"] = 0
+
+
 def _expect_without_collapse(scn):
     # with no collapse there is no number to hold the expectation against
     del scn["pair_odd"]["collapse"]
@@ -261,9 +277,13 @@ def _unknown_dist_kind(scn):
 @pytest.mark.parametrize("command, fixture, mutate, message", [
     ("trace", "dilation2.json", _close_roots, "do not merge into one multiple fixed point"),
     ("trace", "dilation2.json", _short_jet, "vanishes to jet order 2 at 0j"),
-    ("pair-odd", "odd.json", _tau0_for_odd, "pair_odd.collapse: 'psi' is not a 1-cocycle"),
+    ("pair-odd", "odd.json", _tau0_for_odd, "collapse.psi.kind: unknown functional kind 'tau0'"),
     ("pair-odd", "odd.json", _expect_without_collapse, "pair_odd.expect: an expectation needs"),
     ("dist-check", "dist.json", _unknown_dist_kind, "dist[0]: unknown check kind 'laplace'"),
+    ("trace", "dilation2.json", _negative_pad, "trace.pad: expected an integer of at least 0"),
+    ("trace", "dilation2.json", _text_pad, "trace.pad: expected an integer of at least 0"),
+    ("trace", "dilation2.json", _negative_jet_order, "jet_order: expected an integer of at least 0"),
+    ("pair-even", "bott.json", _zero_depth, "quadrature.depth: expected an integer of at least 1"),
 ])
 def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path, capsys):
     scn = json.loads((FIXTURES / fixture).read_text())
@@ -275,6 +295,27 @@ def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path,
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["trace", str(FIXTURES / "dilation2.json"), "--jet-order", "-3"], "jet_order: expected"),
+    (["pair-even", str(FIXTURES / "bott.json"), "--depth", "0"], "quadrature.depth: expected"),
+    (["verify", "--depth", "0"], "quadrature.depth: expected"),
+], ids=["jet-order", "depth", "verify-depth"])
+def test_refused_flag_exits_two(argv, message, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+
+
+def test_flag_overrides_before_the_limits_are_checked(tmp_path):
+    # the limits hold for the values the run uses, not for the file's
+    scn = json.loads((FIXTURES / "dilation2.json").read_text())
+    _negative_jet_order(scn)
+    p = tmp_path / "dilation2.json"
+    p.write_text(json.dumps(scn))
+    code, report = run_cli(["trace", str(p), "--jet-order", "16"], tmp_path / "report.json")
+    assert code == 0 and report["pass"] is True
 
 
 def test_dist_pair_checks_only_an_expected_value(tmp_path):

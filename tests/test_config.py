@@ -16,6 +16,7 @@ from loctrace.config import (
     parse_scenario,
     resolve_label,
 )
+from loctrace.tensoralg import GroupCocycle1
 
 MINIMAL = {
     "group": {
@@ -184,15 +185,15 @@ class TestScenario:
 
     def test_collapse_parsing(self):
         scn = scenario(
-            extra={
-                "collapse": {
-                    "t": {"kind": "tau0"},
-                    "p": {"kind": "cocycle", "weights": {"a": [1, 0]}},
-                }
-            }
+            extra={"collapse": {"p": {"kind": "cocycle", "weights": {"a": [1, 0]}}}}
         )
-        assert scn.collapse["t"].kind == "tau0"
-        assert scn.collapse["p"].kind == "cocycle1"
+        assert isinstance(scn.collapse["p"], GroupCocycle1)
+        assert scn.collapse["p"].weights == {"a": 1.0}
+
+    def test_tau0_collapse_refused(self):
+        # a collapse is a group 1-cocycle: no command reads a trace collapse
+        with pytest.raises(ConfigError, match="collapse.t.kind: unknown functional kind 'tau0'"):
+            scenario(extra={"collapse": {"t": {"kind": "tau0"}}})
 
     def test_field_error_carries_path(self):
         with pytest.raises(ConfigError) as ei:

@@ -448,16 +448,16 @@ class TestLocalOrder:
         with pytest.raises(Exception):
             G.automorphism_order(g, 0.0)
 
-    def test_h_jet_padding_invariance(self):
-        # the compensator jet extended to m = n+1, n+2 must not change
-        # the resulting functional
+    def test_trace_coefficient_padding_invariance(self):
+        # a-jets of orders n - 1 to n + 1 must give the same functional
         g = G.PolyMap([0.0, 1.0, 0.3, 0.1])
         aut = G.automorphism_order(g, 0.0)
-        a_jet = Jet1(0.0, [0.7 - 0.2j, 0.1j, 0.25, 0.0, 0.0])
-        base = aut.trace_coefficient(a_jet)
+        n = aut.order
+        coeffs = [0.7 - 0.2j, 0.1j, 0.25, 0.0, 0.0]
+        base = aut.trace_coefficient(Jet1(0.0, coeffs[:n]))
+        assert base != 0
         for pad in (1, 2):
-            padded = aut.trace_coefficient(a_jet, m=aut.order + pad)
-            assert abs(padded - base) < 1e-10
+            assert aut.trace_coefficient(Jet1(0.0, coeffs[: n + pad])) == base
 
     def test_trace_coefficient_simple_closed_form(self):
         # multiplier lam at the fixed point: value a(z0)/(1 - lam)

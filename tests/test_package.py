@@ -243,7 +243,7 @@ UNREACHED = {
     "jets": {"Jet1.__repr__": REPR, "Jet2.__repr__": REPR},
     "pairing": {"PairingResult.__repr__": REPR, "Delta1Result.__repr__": REPR},
     "quadrature": {"QuadratureResult.__repr__": REPR},
-    "tensoralg": {"_WordMatrices.__repr__": REPR, "GroupCocycle1.value": ODD_PAIRING},
+    "tensoralg": {"WordValues.__repr__": REPR, "GroupCocycle1.value": ODD_PAIRING},
 }
 
 

@@ -16,9 +16,9 @@ from loctrace.pairing import (
 from loctrace.quadrature import NonConvergenceError
 from loctrace.tensoralg import (
     CertificateError,
-    TruncatedSeries,
-    UniversalOneForm,
+    WordValues,
     nat_key,
+    tau0,
     universal_d,
 )
 
@@ -39,7 +39,7 @@ class TestPairEven:
         act, e = bott_projector()
         res = pair_even(e, cap=2, tol=1e-7, max_depth=12)
         assert abs(res.collapsed - (-1.0)) < 1e-8
-        assert isinstance(res.truncated, TruncatedSeries)
+        assert isinstance(res.truncated, WordValues)
         assert res.breakdown["est_error"] < 1e-5
         assert res.breakdown["dropped"] >= 0
 
@@ -64,11 +64,9 @@ class TestPairEven:
     def test_collapsed_truncated_is_tau0_of_table(self):
         # the truncated diagnostic must be exactly the trace collapse of
         # the returned word table
-        from loctrace.tensoralg import Tau0
-
         act, e = bott_projector()
         res = pair_even(e, cap=2, tol=1e-7, max_depth=12)
-        assert abs(res.collapsed_truncated - Tau0().of(res.truncated)) < 1e-14
+        assert abs(res.collapsed_truncated - tau0(res.truncated)) < 1e-14
 
 
 class TestPairOdd:
@@ -119,7 +117,9 @@ class TestPairOdd:
     def test_result_is_one_form_table(self):
         act, u, psi = odd_scenario()
         res = pair_odd(u, cap=3, certificate={"kind": "nilpotent"}, psi=psi, tol=1e-7)
-        assert isinstance(res.truncated, UniversalOneForm)
+        assert isinstance(res.truncated, WordValues)
+        # keyed by marked words: (left word, marked label)
+        assert all(isinstance(b, G.GroupLabel) for _, b in res.truncated.terms)
         assert res.breakdown["dropped"] >= 0
 
 

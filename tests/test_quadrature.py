@@ -139,6 +139,14 @@ def test_nonconvergence_reported():
     assert not res.converged
 
 
+@pytest.mark.parametrize("max_depth", [0, -2])
+def test_depth_below_one_raises(max_depth):
+    # no level would compare two estimates, so nothing could be converged
+    for integrate in (integrate_rect, integrate_box):
+        with pytest.raises(ValueError, match="below 1"):
+            integrate(lambda x, *y: 1.0 + 0 * x, (0, 1, 0, 1), max_depth=max_depth)
+
+
 def test_center_singularity_never_sampled():
     # integrand blows up only at the exact center of the box; the panel
     # rule must not place a node there

@@ -6,13 +6,10 @@ import pytest
 from loctrace import fields as F
 from loctrace import groupoid as G
 from loctrace.algebra import CrossedForm, DWord, WordCrossedForm
-from loctrace.pairing import pair_odd
 from loctrace.tensoralg import (
     CertificateError,
     GroupCocycle1,
-    Tau0,
-    TruncatedSeries,
-    UniversalOneForm,
+    WordValues,
     check_idempotent,
     check_inverse,
     check_nilpotent,
@@ -20,6 +17,7 @@ from loctrace.tensoralg import (
     lift_idempotent,
     lift_invertible,
     nat_key,
+    tau0,
     universal_d,
 )
 
@@ -182,25 +180,22 @@ class TestCollapseFunctionals:
     def test_tau0_selects_unit_words(self):
         act = kappa_action()
         c, v = act.by_name("c"), act.by_name("v")
-        terms = {
-            (c,): np.array([[5.0]]),          # mu = c, ignored
-            (c, c, v): np.array([[2.0 + 1j]]),  # mu = v.c.c = identity
+        values = {
+            (c,): 5.0,  # mu = c, ignored
+            (c, c, v): 2.0 + 1j,  # mu = v.c.c = identity
         }
-        s = TruncatedSeries(act, 1, 4, terms)
-        assert abs(Tau0().of(s) - (2.0 + 1j)) < 1e-14
+        assert abs(tau0(WordValues(act, values)) - (2.0 + 1j)) < 1e-14
 
     def test_tau0_trace_property_through_mu(self):
         act = std_mobius_action()
         a = act.by_name("a")
         ai = act.inverse(a)
-        m1 = np.array([[0.0, 2.0], [1.0, 0.0]])
-        m2 = np.array([[1.0, 0.0], [3.0, 1.0]])
-        # the products of the one-letter tables {(a,): m1} and {(a^-1,): m2}
-        xy = TruncatedSeries(act, 2, 4, {(a, ai): m1 @ m2})
-        yx = TruncatedSeries(act, 2, 4, {(ai, a): m2 @ m1})
-        t = Tau0()
-        assert t.of(xy) == np.trace(m1 @ m2) != 0
-        assert abs(t.of(xy) - t.of(yx)) < 1e-13
+        x, y = 0.5 - 2j, 3.0 + 1j
+        # the products of the one-letter tables {(a,): x} and {(a^-1,): y}:
+        # both orders land on the unit label and count
+        xy = tau0(WordValues(act, {(a, ai): x * y}))
+        yx = tau0(WordValues(act, {(ai, a): y * x}))
+        assert xy == yx == x * y != 0
 
     def test_cocycle_weights_additive_on_free_action(self):
         act = G.FreeGeneratorsAction(
@@ -239,21 +234,15 @@ class TestCollapseFunctionals:
         si = act.inverse(s)
         psi = GroupCocycle1(weights={"s": 0.7})
         # key ((w), b): contributes when mu(w) b is the unit
-        terms = {
-            ((si,), s): np.array([[3.0]]),   # mu(w) b = unit: counts
-            ((s,), s): np.array([[10.0]]),   # s s != unit: ignored
+        values = {
+            ((si,), s): 3.0,  # mu(w) b = unit: counts
+            ((s,), s): 10.0,  # s s != unit: ignored
         }
-        x = UniversalOneForm(act, 1, 4, terms)
-        assert abs(psi.of(x) - 3.0 * 0.7) < 1e-14
+        assert abs(psi.of(WordValues(act, values)) - 3.0 * 0.7) < 1e-14
 
     def test_collapse_parity_enforced(self):
         act = std_mobius_action()
-        s = TruncatedSeries(act, 1, 2, {(): np.eye(1)})
-        assert Tau0().of(s) == 1.0  # unit word collapses to the trace of I
-        # one-form tables collapse through a 1-cocycle only
-        u = CrossedForm.unit(act, 2).add(nilpotent_elem(act))
-        with pytest.raises(ValueError, match="1-cocycle"):
-            pair_odd(u, 2, {"kind": "nilpotent"}, psi=Tau0())
+        assert tau0(WordValues(act, {(): 1.0})) == 1.0  # the empty word is the unit
 
 
 class TestUniversalD:
