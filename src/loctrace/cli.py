@@ -527,12 +527,16 @@ def run(command, scenario_path, args):
             scn.truncation = args.trunc
         if args.jet_order is not None:
             scn.jet_order = args.jet_order
+        CF.require_int(scn.truncation, "truncation", 1)
         CF.require_int(scn.jet_order, "jet_order", 0)
         CF.require_int(scn.depth, "quadrature.depth", 1)
     elif command != "verify":
         raise CF.ConfigError(f"{command}: a scenario file is required")
-    elif args.depth is not None:
-        CF.require_int(args.depth, "quadrature.depth", 1)
+    else:
+        if args.trunc is not None:
+            CF.require_int(args.trunc, "truncation", 1)
+        if args.depth is not None:
+            CF.require_int(args.depth, "quadrature.depth", 1)
 
     runner, key = _RUNNERS[command]
     section = scn.section(key) if key else None

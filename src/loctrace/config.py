@@ -9,9 +9,10 @@ must be reachable from the declared group.
 Top-level keys:
 
 ``group``       kind + generators + optional domain region
-``truncation``  word-length cap for the lifted algebra (default 4)
-``jet_order``   jet length of fixed-point extraction (default 16; order n needs 2n - 1)
-``quadrature``  {"tol": .., "depth": ..}
+``truncation``  word-length cap for the lifted algebra (default 4, at least 1)
+``jet_order``   jet length of fixed-point extraction (default 16, at least 0;
+                order n needs 2n - 1)
+``quadrature``  {"tol": .., "depth": ..} (depth at least 1)
 ``elements``    named crossed elements: scalar part plus (label, matrix) terms
 ``ktheory``     named lifting problems with certificates
 ``collapse``    named group 1-cocycles, kind ``"cocycle"`` with generator
@@ -45,10 +46,11 @@ def _fail(path, msg):
     raise ConfigError(f"{path}: {msg}")
 
 
-def require_int(v, path, low):
-    """v itself, if it is an integer of at least ``low``."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < low:
-        _fail(path, f"expected an integer of at least {low}, got {v!r}")
+def require_int(v, path, low=None):
+    """v itself, if it is an integer, and of at least ``low`` if that is given."""
+    if isinstance(v, bool) or not isinstance(v, int) or (low is not None and v < low):
+        _fail(path, "expected an integer" + ("" if low is None else f" of at least {low}")
+              + f", got {v!r}")
     return v
 
 
@@ -295,10 +297,12 @@ def parse_scenario(raw, name=None):
         raw,
         name or raw.get("name", "scenario"),
         action,
-        int(raw.get("truncation", DEFAULT_TRUNCATION)),
-        int(raw.get("jet_order", G.DEFAULT_JET_ORDER)),
+        # integers here; their limits hold for the values a run uses, after
+        # the command line's overrides (cli.run checks them)
+        require_int(raw.get("truncation", DEFAULT_TRUNCATION), "truncation"),
+        require_int(raw.get("jet_order", G.DEFAULT_JET_ORDER), "jet_order"),
         float(quad.get("tol", DEFAULT_TOL)),
-        int(quad.get("depth", DEFAULT_DEPTH)),
+        require_int(quad.get("depth", DEFAULT_DEPTH), "quadrature.depth"),
         elements,
         ktheory,
         collapse,

@@ -65,7 +65,6 @@ __all__ = [
     "ScalarField",
     "fconst",
     "fzero",
-    "fone",
     "fz",
     "fzbar",
     "bump_field",
@@ -715,10 +714,6 @@ def fzero():
     return fconst(0.0)
 
 
-def fone():
-    return fconst(1.0)
-
-
 def fz():
     return ScalarField(VarZ(), None)
 
@@ -841,7 +836,7 @@ def fconj(a):
 
 def fpow(a, n):
     if n == 0:
-        return fone()
+        return fconst(1.0)
     if a.is_structural_zero():
         return fzero()
     return ScalarField(IntPow(a.expr, n), a.support)

@@ -129,14 +129,14 @@ class TestFormCoefficient:
         assert abs(va + vb) < 1e-13  # one-forms anticommute
 
     def test_wedge_kills_repeated_dz(self):
-        a = FormCoefficient({(1, 0): F.fone()})
+        a = FormCoefficient({(1, 0): F.fconst(1.0)})
         b = FormCoefficient({(1, 0): F.fz()})
         assert a.wedge(b).is_zero()
-        c = FormCoefficient({(0, 1): F.fone()})
+        c = FormCoefficient({(0, 1): F.fconst(1.0)})
         assert c.wedge(c).is_zero()
 
     def test_mixed_degree_wedge_collects_terms(self):
-        a = FormCoefficient({(0, 0): F.fconst(2.0), (1, 0): F.fone()})
+        a = FormCoefficient({(0, 0): F.fconst(2.0), (1, 0): F.fconst(1.0)})
         b = FormCoefficient({(0, 1): F.fconst(3.0)})
         w = a.wedge(b)
         z = 0.1
@@ -158,7 +158,7 @@ class TestFormCoefficient:
 
     def test_zero_and_arith(self):
         assert FormCoefficient.zero().is_zero()
-        a = FormCoefficient({(0, 0): F.fone()})
+        a = FormCoefficient({(0, 0): F.fconst(1.0)})
         assert a.add(a.scale(-1.0)).is_zero() or F.eval_field(a.add(a.scale(-1.0)).get(0, 0), 0.1) == 0.0
         s = a.scale(3j)
         assert F.eval_field(s.get(0, 0), 0.0) == 3j

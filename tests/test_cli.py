@@ -263,6 +263,23 @@ def _zero_depth(scn):
     scn["quadrature"]["depth"] = 0
 
 
+def _text_jet_order(scn):
+    scn["jet_order"] = "x"
+
+
+def _fractional_depth(scn):
+    scn["quadrature"]["depth"] = 2.5
+
+
+def _fractional_truncation(scn):
+    scn["truncation"] = 2.5
+
+
+def _zero_truncation(scn):
+    # a cap below 1 leaves no word to pair, and the expectation would pass
+    scn["truncation"] = 0
+
+
 def _expect_without_collapse(scn):
     # with no collapse there is no number to hold the expectation against
     del scn["pair_odd"]["collapse"]
@@ -284,6 +301,10 @@ def _unknown_dist_kind(scn):
     ("trace", "dilation2.json", _text_pad, "trace.pad: expected an integer of at least 0"),
     ("trace", "dilation2.json", _negative_jet_order, "jet_order: expected an integer of at least 0"),
     ("pair-even", "bott.json", _zero_depth, "quadrature.depth: expected an integer of at least 1"),
+    ("trace", "dilation2.json", _text_jet_order, "jet_order: expected an integer, got 'x'"),
+    ("pair-even", "bott.json", _fractional_depth, "quadrature.depth: expected an integer, got 2.5"),
+    ("pair-odd", "odd.json", _fractional_truncation, "truncation: expected an integer, got 2.5"),
+    ("pair-odd", "odd.json", _zero_truncation, "truncation: expected an integer of at least 1"),
 ])
 def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path, capsys):
     scn = json.loads((FIXTURES / fixture).read_text())
@@ -301,7 +322,10 @@ def test_refused_scenario_exits_two(command, fixture, mutate, message, tmp_path,
     (["trace", str(FIXTURES / "dilation2.json"), "--jet-order", "-3"], "jet_order: expected"),
     (["pair-even", str(FIXTURES / "bott.json"), "--depth", "0"], "quadrature.depth: expected"),
     (["verify", "--depth", "0"], "quadrature.depth: expected"),
-], ids=["jet-order", "depth", "verify-depth"])
+    (["pair-odd", str(FIXTURES / "odd.json"), "--trunc", "-1"], "truncation: expected"),
+    (["pair-odd", str(FIXTURES / "odd.json"), "--trunc", "0"], "truncation: expected"),
+    (["verify", "--trunc", "0"], "truncation: expected"),
+], ids=["jet-order", "depth", "verify-depth", "trunc-negative", "trunc-zero", "verify-trunc"])
 def test_refused_flag_exits_two(argv, message, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err

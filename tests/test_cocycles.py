@@ -198,7 +198,7 @@ class TestHigherOrder:
     def test_plateau_error_when_not_flat(self):
         act, g = poly_action([0.0, 2.0])
         # transition annulus of the window crosses the fixed point at 0
-        bad = F.bumped(F.fone(), 0.05, 0.01, 0.1)
+        bad = F.bumped(F.fconst(1.0), 0.05, 0.01, 0.1)
         with pytest.raises(PlateauError):
             phi_trace(single0(act, g, bad))
 
@@ -215,7 +215,7 @@ class TestHigherOrder:
 
     def test_plateau_error_through_deriv(self):
         act, g = poly_action([0.0, 2.0])
-        flat = F.bumped(F.fone(), 0.0, 0.25, 0.45)
+        flat = F.bumped(F.fconst(1.0), 0.0, 0.25, 0.45)
         bad = F.fmul(flat, F.fderiv(F.bumped(F.fz(), 0.05, 0.01, 0.1), 0, 1))
         with pytest.raises(PlateauError):
             phi_trace(single0(act, g, bad))

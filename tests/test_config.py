@@ -195,6 +195,17 @@ class TestScenario:
         with pytest.raises(ConfigError, match="collapse.t.kind: unknown functional kind 'tau0'"):
             scenario(extra={"collapse": {"t": {"kind": "tau0"}}})
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"truncation": 2.5}, "truncation"),
+        ({"jet_order": "x"}, "jet_order"),
+        ({"jet_order": True}, "jet_order"),
+        ({"quadrature": {"depth": 9.0}}, "quadrature.depth"),
+    ])
+    def test_integer_keys_refuse_other_values(self, extra, key):
+        # read as given, not truncated by int(): 2.5 is not the cap 2
+        with pytest.raises(ConfigError, match=f"^{key}: expected an integer, got"):
+            scenario(extra=extra)
+
     def test_field_error_carries_path(self):
         with pytest.raises(ConfigError) as ei:
             scenario(

@@ -18,7 +18,7 @@ from loctrace.dist import (
     check_dolbeault,
     pair_kernel,
 )
-from loctrace.quadrature import integrate_box, integrate_rect
+from loctrace.quadrature import integrate_rect
 
 from conftest import smooth_phi
 
@@ -55,6 +55,12 @@ def polar_n2_oracle(z0, phi, R, nr=400, nth=512):
     return -np.sum(radial / r * wr) / np.pi
 
 
+@pytest.fixture(scope="module")
+def far_anchor_oracle():
+    # 1,024 angles resolve the narrow wedge the support fills: within 1e-14
+    return polar_n1_oracle(1.5, smooth_phi(), R=2.2, nth=1024)
+
+
 class TestKernelObject:
     def test_ctor_validation(self):
         with pytest.raises(ValueError):
@@ -77,27 +83,13 @@ class TestKernelObject:
 
 
 def cauchy_pair_oracle(z0, psi, tol, max_depth):
-    # the split pairing with fresh arrays on every block
-    x0, x1, y0, y1 = psi.support.bbox()
-    r_cut = 0.35 * math.hypot(x1 - x0, y1 - y0)
-    r_pl = 0.5 * r_cut
-    chi = F.bump_field(z0, r_pl, r_cut)
-    near = F.fmul(chi, psi)
-    far = F.fmul(F.fadd(F.fone(), F.fneg(chi)), psi)
-
+    # the one polar integral with fresh arrays on every block
     def f_polar(r, th):
         e = np.exp(1j * th)
-        return np.conj(e) * F.eval_field(near, z0 + r * e)
+        return np.conj(e) * F.eval_field(psi, z0 + r * e)
 
-    def f_far(z):
-        vals = F.eval_field(far, z)
-        den = z - z0
-        safe = den.real * den.real + den.imag * den.imag > (0.5 * r_pl) * (0.5 * r_pl)
-        return np.where(safe, vals / np.where(safe, den, 1.0), 0.0)
-
-    polar = integrate_rect(f_polar, (0.0, r_cut, 0.0, 2.0 * math.pi), tol, max_depth)
-    far = integrate_box(f_far, (x0, x1, y0, y1), tol, max_depth)
-    return 0j + polar.value + far.value, [polar, far]
+    res = integrate_rect(f_polar, D._polar_box(z0, *psi.support.bbox()), tol, max_depth)
+    return res.value, res
 
 
 def _recorded(monkeypatch, module, name):
@@ -117,34 +109,53 @@ def _recorded(monkeypatch, module, name):
 @pytest.mark.parametrize("z0", [0.0, 0.05 - 0.1j, 0.45 + 0.2j, 1.5])
 def test_cauchy_pair_gives_the_oracle_bits(z0, monkeypatch):
     psi = smooth_phi()
-    want, parts = cauchy_pair_oracle(z0, psi, **QKW)
+    want, oracle = cauchy_pair_oracle(z0, psi, **QKW)
     polar = _recorded(monkeypatch, D, "integrate_rect")
     far = _recorded(monkeypatch, D, "integrate_box")
     got, _ = _cauchy_pair(z0, psi, **QKW)
     assert got == want
-    if not polar:  # the near part is structurally zero and not integrated
-        assert parts[0].value == 0
-        parts = parts[1:]
-    # each part on its own: the polar and the far integral, bit for bit
-    for (_, res), oracle in zip(polar + far, parts, strict=True):
-        assert (res.value, res.est_error, res.cells) == (
-            oracle.value, oracle.est_error, oracle.cells)
+    # one polar integral and no other, bit for bit
+    (_, res), = polar
+    assert far == []
+    assert (res.value, res.est_error, res.cells) == (oracle.value, oracle.est_error, oracle.cells)
 
 
-@pytest.mark.parametrize("part", [0, 1], ids=["polar", "far"])
+@pytest.mark.parametrize("z0", [0.0, 0.05 - 0.1j, 0.6, 0.6 + 0.6j, 1.5, -0.9 + 0.1j, 0.3 - 2.0j])
+def test_polar_box_holds_the_support_box(z0):
+    z0 = complex(z0)
+    x0, x1, y0, y1 = box = smooth_phi().support.bbox()
+    r0, r1, th0, th1 = D._polar_box(z0, *box)
+    t = np.linspace(0.0, 1.0, 201)
+    edge = np.concatenate([x0 + (x1 - x0) * t + 1j * y0, x0 + (x1 - x0) * t + 1j * y1,
+                           x0 + 1j * (y0 + (y1 - y0) * t), x1 + 1j * (y0 + (y1 - y0) * t)])
+    d = edge - z0
+    inside = x0 <= z0.real <= x1 and y0 <= z0.imag <= y1
+    if inside:
+        assert (r0, th0, th1) == (0.0, 0.0, 2.0 * math.pi)
+    else:
+        # a sector narrower than a half turn, and no wider than the box
+        assert 0.0 < th1 - th0 < math.pi
+        turn = np.angle(d * np.exp(-1j * th0))
+        assert turn.max() <= th1 - th0 + 1e-12 and turn.min() >= -1e-12
+        assert math.isclose(turn.max(), th1 - th0, abs_tol=1e-12)
+        nearest = complex(min(max(z0.real, x0), x1), min(max(z0.imag, y0), y1))
+        assert math.isclose(r0, abs(nearest - z0), rel_tol=1e-12) and r0 <= np.abs(d).min()
+    assert (np.abs(d) <= r1 * (1 + 1e-12)).all() and math.isclose(r1, np.abs(d).max(), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("part", ["polar"])
 def test_cauchy_pair_integrands_allocate_no_block_arrays(part, monkeypatch):
-    # after its first block an integrand computes in its own block scratch:
+    # after its first block the polar integrand computes in its own block scratch:
     # a 4,096-point call allocates less than a quarter of one block's values
-    calls = _recorded(monkeypatch, D, ("integrate_rect", "integrate_box")[part])
+    calls = _recorded(monkeypatch, D, "integrate_rect")
     _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
     (f, _), = calls
     rng = np.random.default_rng(3)
     r, th = rng.uniform(0.0, 0.5, 4096), rng.uniform(0.0, 2.0 * math.pi, 4096)
-    args = (r, th) if part == 0 else (r * np.exp(1j * th),)
-    want = f(*args).copy()
+    want = f(r, th).copy()
     tracemalloc.start()
     try:
-        got = f(*args)
+        got = f(r, th)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -152,19 +163,18 @@ def test_cauchy_pair_integrands_allocate_no_block_arrays(part, monkeypatch):
     assert peak < 4096 * 16 / 4
 
 
-@pytest.mark.parametrize("part", [0, 1], ids=["polar", "far"])
+@pytest.mark.parametrize("part", ["polar"])
 def test_cauchy_pair_scratch_starts_on_a_cache_line(part, monkeypatch):
-    # an integrand returns its block of values in its own scratch
-    calls = _recorded(monkeypatch, D, ("integrate_rect", "integrate_box")[part])
+    # the polar integrand returns its block of values in its own scratch
+    calls = _recorded(monkeypatch, D, "integrate_rect")
     _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
     (f, _), = calls
-    r, th = np.linspace(0.0, 0.5, 999), np.linspace(0.0, 6.0, 999)
-    got = f(r, th) if part == 0 else f(r * np.exp(1j * th))
+    got = f(np.linspace(0.0, 0.5, 999), np.linspace(0.0, 6.0, 999))
     assert len(got) == 999 and got.__array_interface__["data"][0] % 64 == 0
 
 
 def test_blocks_are_all_taped(batches_never_interpreted):
-    # the anchor inside the support, so both the near and the far parts run
+    # the anchor inside the support, so the polar integral meets the pole
     got, _ = _cauchy_pair(0.05 - 0.1j, smooth_phi(), **QKW)
     assert got != 0
 
@@ -177,13 +187,23 @@ class TestOrderOne:
         want = polar_n1_oracle(z0, phi, R=0.8)
         assert abs(got - want) < 1e-7
 
-    def test_support_far_from_anchor(self):
+    def test_support_far_from_anchor(self, far_anchor_oracle):
         # anchor outside the support: plain absolutely convergent integral
-        z0 = 1.5
-        phi = smooth_phi()
-        got = pair_kernel(RenormKernel(1, z0), phi, **QKW)
-        want = polar_n1_oracle(z0, phi, R=2.2)
-        assert abs(got - want) < 1e-6
+        got = pair_kernel(RenormKernel(1, 1.5), smooth_phi(), **QKW)
+        assert abs(got - far_anchor_oracle) < 1e-6
+
+    def test_far_anchor_converges_at_depth_16(self, far_anchor_oracle):
+        # the polar box holds only the support's box: a full disk about the
+        # anchor spends the tolerance on empty area and does not converge
+        got = pair_kernel(RenormKernel(1, 1.5), smooth_phi(), tol=1e-10, max_depth=16)
+        assert abs(got - far_anchor_oracle) < 1e-9
+
+    @pytest.mark.parametrize("z0", [0.0, 0.1 + 0.05j, -0.2j, 0.21 - 0.15j])
+    def test_bump_plateau_closed_form(self, z0):
+        # for B radial and 1 on |z| <= 0.3, (1/pi) integral of B/(z - z0) is
+        # -conj(z0) for every z0 on the plateau
+        got = pair_kernel(RenormKernel(1, z0), F.bump_field(0.0, 0.3, 0.6), tol=1e-8)
+        assert abs(got + complex(z0).conjugate()) < 1e-9
 
     def test_linearity(self):
         z0 = 0.02j

@@ -39,7 +39,6 @@ def test_eval_basic_nodes():
     assert F.eval_field(F.fz(), z) == z
     assert F.eval_field(F.fzbar(), z) == z.conjugate()
     assert F.eval_field(F.fconst(2 + 1j), z) == 2 + 1j
-    assert F.eval_field(F.fone(), z) == 1.0
     assert F.eval_field(F.fzero(), z) == 0.0
 
 
@@ -48,7 +47,7 @@ def test_eval_composite_expression():
     z = 0.4 + 0.2j
     f = F.fmul(
         F.fadd(F.fmul(F.fpow(F.fz(), 2), F.fzbar()), F.fconst(3.0)),
-        F.frecip(F.fadd(F.fone(), F.fmul(F.fz(), F.fzbar()))),
+        F.frecip(F.fadd(F.fconst(1.0), F.fmul(F.fz(), F.fzbar()))),
     )
     want = (z**2 * z.conjugate() + 3) / (1 + abs(z) ** 2)
     assert abs(F.eval_field(f, z) - want) < 1e-14
@@ -151,7 +150,7 @@ class TestBump:
                     assert abs(j.coeff(p, q)) < 1e-14
 
     def test_plateau_safe(self):
-        b = F.bumped(F.fone(), 0.0, 0.5, 1.0)
+        b = F.bumped(F.fconst(1.0), 0.0, 0.5, 1.0)
         assert F.plateau_safe(b, 0.1)
         assert not F.plateau_safe(b, 0.7)  # transition zone
 
@@ -167,8 +166,8 @@ class TestSupports:
         assert F.eval_field(f, 1.8) == 0.0
 
     def test_mul_disjoint_supports_is_structural_zero(self):
-        a = F.bumped(F.fone(), 0.0, 0.2, 0.4)
-        b = F.bumped(F.fone(), 2.0, 0.2, 0.4)
+        a = F.bumped(F.fconst(1.0), 0.0, 0.2, 0.4)
+        b = F.bumped(F.fconst(1.0), 2.0, 0.2, 0.4)
         prod = F.fmul(a, b)
         # no overlap: the product should be recognized as zero
         assert prod.support is not None
@@ -198,7 +197,7 @@ def test_pullback_shrinks_support():
     from loctrace.groupoid import AffineMap
 
     g = AffineMap(2.0, 0.0)  # z -> 2z
-    f = F.bumped(F.fone(), 0.0, 0.5, 1.0)
+    f = F.bumped(F.fconst(1.0), 0.0, 0.5, 1.0)
     pb = F.fpullback(f, g)
     # support of f o g is the preimage: radius 0.5 disk, plateau 0.25
     assert F.eval_field(pb, 0.2) == 1.0

@@ -161,7 +161,7 @@ class TestAnomalyDelta0:
         # the cutoff's transition annulus crosses the fixed point 0 of c c
         act = kappa_action()
         c = act.by_name("c")
-        bad = F.bumped(F.fone(), 0.05, 0.01, 0.1)
+        bad = F.bumped(F.fconst(1.0), 0.05, 0.01, 0.1)
         w = WordCrossedForm(act, 1, cap=4, terms={(c, c): [[fc_field(bad)]]})
         with pytest.raises(PlateauError):
             anomaly_delta0(universal_d(w), region=act.domain)
