@@ -55,10 +55,17 @@ def polar_n2_oracle(z0, phi, R, nr=400, nth=512):
     return -np.sum(radial / r * wr) / np.pi
 
 
-@pytest.fixture(scope="module")
-def far_anchor_oracle():
-    # 1,024 angles resolve the narrow wedge the support fills: within 1e-14
-    return polar_n1_oracle(1.5, smooth_phi(), R=2.2, nth=1024)
+def far_anchor_oracle(n, z0, phi, nodes=200):
+    """(-1)^(n-1) (n-1)!/pi times the integral of phi/(z - z0)^n, for z0
+    outside phi's support: the n-1 derivatives move onto the kernel with no
+    boundary term.  Tensor Gauss-Legendre on the support's box."""
+    x0, x1, y0, y1 = phi.support.bbox()
+    t, w = np.polynomial.legendre.leggauss(nodes)
+    x, y = 0.5 * (x1 + x0) + 0.5 * (x1 - x0) * t, 0.5 * (y1 + y0) + 0.5 * (y1 - y0) * t
+    z = x[:, None] + 1j * y[None, :]
+    vals = F.eval_field(phi, z.ravel()).reshape(z.shape) / (z - z0) ** n
+    total = 0.25 * (x1 - x0) * (y1 - y0) * (w @ vals @ w)
+    return (-1) ** (n - 1) * math.factorial(n - 1) / math.pi * total
 
 
 class TestKernelObject:
@@ -187,16 +194,23 @@ class TestOrderOne:
         want = polar_n1_oracle(z0, phi, R=0.8)
         assert abs(got - want) < 1e-7
 
-    def test_support_far_from_anchor(self, far_anchor_oracle):
+    def test_support_far_from_anchor(self):
         # anchor outside the support: plain absolutely convergent integral
-        got = pair_kernel(RenormKernel(1, 1.5), smooth_phi(), **QKW)
-        assert abs(got - far_anchor_oracle) < 1e-6
+        z0 = 1.5
+        phi = smooth_phi()
+        got = pair_kernel(RenormKernel(1, z0), phi, **QKW)
+        want = polar_n1_oracle(z0, phi, R=2.2)
+        assert abs(got - want) < 1e-6
 
-    def test_far_anchor_converges_at_depth_16(self, far_anchor_oracle):
+    @pytest.mark.parametrize("n, z0", [(1, 1.5), (3, 3.0)])
+    def test_far_anchor_converges_at_depth_16(self, n, z0):
         # the polar box holds only the support's box: a full disk about the
-        # anchor spends the tolerance on empty area and does not converge
-        got = pair_kernel(RenormKernel(1, 1.5), smooth_phi(), tol=1e-10, max_depth=16)
-        assert abs(got - far_anchor_oracle) < 1e-9
+        # anchor spends the tolerance on empty area, and at order 3 it does
+        # not converge
+        phi = smooth_phi()
+        got = pair_kernel(RenormKernel(n, z0), phi, tol=1e-10, max_depth=16)
+        assert abs(got) > 1e-2
+        assert abs(got - far_anchor_oracle(n, z0, phi)) < 1e-9
 
     @pytest.mark.parametrize("z0", [0.0, 0.1 + 0.05j, -0.2j, 0.21 - 0.15j])
     def test_bump_plateau_closed_form(self, z0):
