@@ -1,9 +1,9 @@
 """Alternating end-to-end benchmark runs of two checkouts of this repository.
 
-    python3 scripts/paired_runs.py PARENT CHANGE --pairs N --seed S [--seconds T] [--out FILE]
+    python3 scripts/paired_runs.py PARENT CHANGE --pairs N --seed S --out FILE
 
-Runs ``perfbench/run.py --workload all --seconds T`` (T defaults to 30, the
-benchmark's run length) N times in each checkout, at seeds S, S+1, ...,
+Runs ``perfbench/run.py --workload all`` N times in each checkout, for the
+``run_seconds`` of CHANGE's ``BENCHMARK.json``, at seeds S, S+1, ...,
 S+N-1, one seed per pair.  Within a pair both checkouts run the same seed;
 the first pair starts with PARENT, and the side that goes first flips with
 every pair, so that a drift of the machine's speed falls on both alike.
@@ -14,10 +14,10 @@ For each workload and each end-to-end metric that CHANGE's
 ``BENCHMARK.json`` names, it prints each side's median and quartiles
 (``statistics.quantiles(n=4)``), the pairs the change won (ties count for
 neither) and whether that is a gain: at least nine tenths of the pairs won,
-and the medians apart by more than the parent's interquartile range.  With
-``--out`` it writes every run, with the ``failed``, ``attempted`` and
-``correct`` fields, as JSON.  Exits 1 if a run failed an operation or was
-not correct, else 0.  Standard library only.
+and the medians apart by more than the parent's interquartile range.  It
+writes the same, with every run and the ``failed``, ``attempted`` and
+``correct`` fields, as JSON to FILE.  Exits 1 if a run failed an operation
+or was not correct, else 0.  Standard library only.
 """
 
 from __future__ import annotations
@@ -63,21 +63,21 @@ def main(argv=None):
     ap.add_argument("change")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30.0)
-    ap.add_argument("--out", default=None, help="write the runs here as JSON")
+    ap.add_argument("--out", required=True, help="write the runs here as JSON")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
     roots = dict(zip(SIDES, (os.path.abspath(args.parent), os.path.abspath(args.change))))
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        bench = json.load(fh)
+    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
 
     seeds = [args.seed + i for i in range(args.pairs)]
     first = [SIDES[i % 2] for i in range(args.pairs)]
     results = {side: [] for side in SIDES}
     for seed, lead in zip(seeds, first):
         for side in (lead, SIDES[1 - SIDES.index(lead)]):
-            results[side].append(run_all(roots[side], seed, args.seconds))
+            results[side].append(run_all(roots[side], seed, bench["run_seconds"]))
             walls = ", ".join(f"{wl} {res['metrics']['wall_s']['value']:.4f}"
                               for wl, res in results[side][-1].items())
             print(f"# seed {seed} {side}: wall_s {walls}", flush=True)
@@ -101,10 +101,9 @@ def main(argv=None):
         print(f"{wl:8s} failed parent {sum(row['failed']['parent'])} "
               f"change {sum(row['failed']['change'])}, correct {row['correct']}")
         report[wl] = row
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=1)
-            fh.write("\n")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=1)
+        fh.write("\n")
     return 0 if ok else 1
 
 
