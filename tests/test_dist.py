@@ -147,7 +147,8 @@ def test_polar_box_holds_the_support_box(z0):
         assert math.isclose(turn.max(), th1 - th0, abs_tol=1e-12)
         nearest = complex(min(max(z0.real, x0), x1), min(max(z0.imag, y0), y1))
         assert math.isclose(r0, abs(nearest - z0), rel_tol=1e-12) and r0 <= np.abs(d).min()
-    assert (np.abs(d) <= r1 * (1 + 1e-12)).all() and math.isclose(r1, np.abs(d).max(), rel_tol=1e-12)
+    assert (np.abs(d) <= r1 * (1 + 1e-12)).all()
+    assert math.isclose(r1, np.abs(d).max(), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("part", ["polar"])
