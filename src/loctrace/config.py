@@ -3,8 +3,9 @@
 A scenario is a single JSON document: a key-tree of strings, numbers and
 lists.  Complex numbers are two-element ``[re, im]`` arrays (a bare number is
 accepted and read as a real).  Scalar fields are s-expressions in the grammar
-of :func:`loctrace.fields.field_from_sexp`.  Every label an element refers to
-must be reachable from the declared group.
+of :func:`loctrace.fields.field_from_sexp`; ``(bump cx cy r_pl r_sup map)``
+is the cutoff composed with the map's expression.  Every label an element
+refers to must be reachable from the declared group.
 
 Top-level keys:
 

@@ -12,6 +12,10 @@ factor is exactly constant, so Taylor data of any order is available there;
 inside the glue annulus the order is capped (GLUE_ORDER_CAP) and higher
 requests raise UnsupportedOrderError.
 
+A change of chart is one node, ``Compose``, whose chain rule every pullback
+(``fpullback``) and every cutoff in another chart goes through; the composed
+tree is shared, not copied.
+
 A single-point jet (jet2_at) also records whether it is locally exact: any
 cutoff that meets its point, or the image of that point under a composition,
 inside the transition annulus widened by PLATEAU_MARGIN marks the jet as not
@@ -435,14 +439,6 @@ class Node:
             ctx.keepalive.append(z)
         return hit
 
-    def subst(self, zr, zbr, memo):
-        key = id(self)
-        hit = memo.get(key)
-        if hit is None:
-            hit = self._subst(zr, zbr, memo)
-            memo[key] = hit
-        return hit
-
 
 class Const(Node):
     __slots__ = ("value",)
@@ -452,9 +448,6 @@ class Const(Node):
 
     def _jet(self, z, K, ctx):
         return {(0, 0): ctx.full(self.value)}
-
-    def _subst(self, zr, zbr, memo):
-        return self
 
 
 class VarZ(Node):
@@ -466,9 +459,6 @@ class VarZ(Node):
             out[(1, 0)] = ctx.full(1.0)
         return out
 
-    def _subst(self, zr, zbr, memo):
-        return zr
-
 
 class VarZbar(Node):
     __slots__ = ()
@@ -478,9 +468,6 @@ class VarZbar(Node):
         if K >= 1:
             out[(0, 1)] = ctx.full(1.0)
         return out
-
-    def _subst(self, zr, zbr, memo):
-        return zbr
 
 
 class Add(Node):
@@ -501,9 +488,6 @@ class Add(Node):
             out = jd_add(out, t.jet(z, K, ctx))
         return out
 
-    def _subst(self, zr, zbr, memo):
-        return Add([t.subst(zr, zbr, memo) for t in self.terms])
-
 
 class Mul(Node):
     __slots__ = ("a", "b")
@@ -515,9 +499,6 @@ class Mul(Node):
     def _jet(self, z, K, ctx):
         return jd_mul(self.a.jet(z, K, ctx), self.b.jet(z, K, ctx), K)
 
-    def _subst(self, zr, zbr, memo):
-        return Mul(self.a.subst(zr, zbr, memo), self.b.subst(zr, zbr, memo))
-
 
 class Neg(Node):
     __slots__ = ("a",)
@@ -527,9 +508,6 @@ class Neg(Node):
 
     def _jet(self, z, K, ctx):
         return jd_scale(self.a.jet(z, K, ctx), -1.0)
-
-    def _subst(self, zr, zbr, memo):
-        return Neg(self.a.subst(zr, zbr, memo))
 
 
 class IntPow(Node):
@@ -544,9 +522,6 @@ class IntPow(Node):
     def _jet(self, z, K, ctx):
         return jd_pow(self.a.jet(z, K, ctx), self.n, K, ctx)
 
-    def _subst(self, zr, zbr, memo):
-        return IntPow(self.a.subst(zr, zbr, memo), self.n)
-
 
 class Recip(Node):
     __slots__ = ("a",)
@@ -556,9 +531,6 @@ class Recip(Node):
 
     def _jet(self, z, K, ctx):
         return jd_recip(self.a.jet(z, K, ctx), K, ctx, "Recip")
-
-    def _subst(self, zr, zbr, memo):
-        return Recip(self.a.subst(zr, zbr, memo))
 
 
 class Log(Node):
@@ -570,9 +542,6 @@ class Log(Node):
     def _jet(self, z, K, ctx):
         return jd_log(self.a.jet(z, K, ctx), K, ctx, "Log")
 
-    def _subst(self, zr, zbr, memo):
-        return Log(self.a.subst(zr, zbr, memo))
-
 
 class Conj(Node):
     __slots__ = ("a",)
@@ -582,9 +551,6 @@ class Conj(Node):
 
     def _jet(self, z, K, ctx):
         return jd_conj(self.a.jet(z, K, ctx))
-
-    def _subst(self, zr, zbr, memo):
-        return Conj(self.a.subst(zr, zbr, memo))
 
 
 class Deriv(Node):
@@ -609,19 +575,10 @@ class Deriv(Node):
             out[(a, b)] = v * (math.perm(i, self.p) * math.perm(j, self.q))
         return out
 
-    def _subst(self, zr, zbr, memo):
-        # derivatives refer to the chart they were taken in, so precomposing
-        # with a map wraps the node in an explicit composition
-        if isinstance(zr, VarZ) and isinstance(zbr, VarZbar):
-            return self
-        if not (isinstance(zbr, Conj) and zbr.a is zr):
-            raise ValueError("substitution must send zbar to the conjugate of the z image")
-        return Compose(self, zr)
-
 
 class Compose(Node):
-    """Evaluate a subtree in the chart w = inner(z); the subtree's jet is
-    taken at the mapped points and recombined through the inner jet."""
+    """A subtree in the chart w = inner(z): its jet at the mapped points, where
+    zbar is conj(w), recombined through the inner jet and its conjugate."""
 
     __slots__ = ("sub", "inner")
 
@@ -652,31 +609,26 @@ class Compose(Node):
                 out[key] = out[key] + add if key in out else add
         return out
 
-    def _subst(self, zr, zbr, memo):
-        return Compose(self.sub, self.inner.subst(zr, zbr, memo))
-
 
 class Bump(Node):
-    __slots__ = ("inner", "center", "r_pl", "r_sup")
+    """A cutoff in the chart it is evaluated in; in another, a ``Compose``."""
 
-    def __init__(self, inner, center, r_pl, r_sup):
+    __slots__ = ("center", "r_pl", "r_sup")
+
+    def __init__(self, center, r_pl, r_sup):
         if not (0 < r_pl < r_sup):
             raise ValueError("bump radii must satisfy 0 < plateau < support")
-        self.inner = inner
         self.center = complex(center)
         self.r_pl = float(r_pl)
         self.r_sup = float(r_sup)
 
     def _jet(self, z, K, ctx):
-        wj = self.inner.jet(z, K, ctx)
+        wj = VarZ._jet(self, z, K, ctx)  # the jet of the chart variable
         if ctx.flat:
             r = np.abs(_value(wj, ctx) - self.center)
             lo, hi = self.r_pl * (1 - PLATEAU_MARGIN), self.r_sup * (1 + PLATEAU_MARGIN)
             ctx.flat = not np.any((r >= lo) & (r <= hi))
         return _bump_jet(self, wj, K, ctx)
-
-    def _subst(self, zr, zbr, memo):
-        return Bump(self.inner.subst(zr, zbr, memo), self.center, self.r_pl, self.r_sup)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +676,7 @@ def fzbar():
 
 def bump_field(center, r_pl, r_sup):
     return ScalarField(
-        Bump(VarZ(), center, r_pl, r_sup), Disk(center, r_sup)
+        Bump(center, r_pl, r_sup), Disk(center, r_sup)
     )
 
 
@@ -855,15 +807,13 @@ def fderiv(a, p, q):
 
 
 def fpullback(f, cmap):
-    """Precompose a field with a conformal map: z -> expression of the map,
-    zbar -> its conjugate.  The support becomes a conservative outer bound on
-    the preimage of the original support."""
+    """f o g as one ``Compose`` node that takes f's tree, shared and not
+    copied, at the points g(z); a constant keeps its own node.  The support
+    becomes a conservative outer bound on the preimage of the original one."""
     if f.is_structural_zero():
         return f
-    g_expr = cmap.expr_tree()
-    memo = {}
-    new_expr = f.expr.subst(g_expr, Conj(g_expr), memo)
-    return ScalarField(new_expr, cmap.preimage_region(f.support))
+    expr = f.expr if isinstance(f.expr, Const) else Compose(f.expr, cmap.expr_tree())
+    return ScalarField(expr, cmap.preimage_region(f.support))
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +916,8 @@ def plateau_safe(f, z0):
 # every reader of its operand recorded after it, so a block raises the
 # interpreter's first error before any of those readers meets a bad value.
 # Every instruction is elementwise on the same inputs, so the order changes
-# no bit.  At seed 3 it takes the 18 tapes of a ``cocycle`` round from 392
-# rows to 307 (the widest from 37 to 24) and ``pairing``'s from 313 to 304.
+# no bit.  At seed 3 it takes the 18 tapes of a ``cocycle`` round from 396
+# rows to 311 (the widest from 37 to 25) and ``pairing``'s from 226 to 219.
 #
 # Tapes are shared by structure: ``_tape_of`` looks a tree's tape up by its
 # ``_structure``, which holds all that a jet rule or the recorder reads, so
@@ -977,16 +927,16 @@ def plateau_safe(f, z0):
 # equal bytes unpickle to equal structures.  Each structure is pickled from
 # fresh tuples and strings and the same classes, so equal structures give
 # equal bytes; were they ever not to, an equal tree would only record a
-# second tape.  At seed 3 the 18 ``cocycle`` keys take 41 KB as bytes, 265 KB
+# second tape.  At seed 3 the 18 ``cocycle`` keys take 36 KB as bytes, 120 KB
 # as nested tuples.  The key is not a digest, which would not be exact, and
 # ``hashlib`` would load OpenSSL: 3.5 MiB of memory and several milliseconds
 # for a process, such as one CLI run, that has not loaded it yet.
 #
 # The cached tapes share equal instructions (hash-consing): ``_tape_of``
 # swaps each instruction of a tape it caches for the equal tuple in
-# ``_CODE``, the table of the cached tapes' instructions.  At seed 3 the 3,723
-# instructions of the ``cocycle`` tapes are 1,646 tuples: with their lists
-# they take 159 KB against 306 KB, and the table 74 KB more.  An eviction
+# ``_CODE``, the table of the cached tapes' instructions.  At seed 3 the 3,706
+# instructions of the ``cocycle`` tapes are 1,572 tuples: with their lists
+# they take 144 KB against 295 KB, and the table 74 KB more.  An eviction
 # empties the table, so it never holds an instruction of a tape that is no
 # longer cached; with a full cache, sharing starts afresh after each one.
 #
@@ -1509,13 +1459,14 @@ def _build(head, args):
     if head == "compose":
         return Compose(args[0], args[1])
     if head == "bump":
-        inner = args[4] if len(args) > 4 else VarZ()
-        return Bump(inner, complex(args[0], args[1]), args[2], args[3])
+        cut = Bump(complex(args[0], args[1]), args[2], args[3])
+        return Compose(cut, args[4]) if len(args) > 4 else cut
     raise ValueError(f"unknown operator {head!r}")
 
 
 def field_from_sexp(s, support=None):
-    """A field in prefix notation: numbers, z, zbar and the operators of ``_build``."""
+    """A field in prefix notation: numbers, z, zbar and the operators of
+    ``_build``.  A fifth ``bump`` argument composes the cutoff with that map."""
     tokens = _tokenize(s)
     node, pos = _parse(tokens, 0)
     if pos != len(tokens):
@@ -1530,7 +1481,7 @@ def field_from_sexp(s, support=None):
 def _derive_support(node):
     """If a cutoff in the plain chart multiplies the whole tree, its disk
     bounds the support."""
-    if isinstance(node, Bump) and isinstance(node.inner, VarZ):
+    if isinstance(node, Bump):
         return Disk(node.center, node.r_sup)
     if isinstance(node, Mul):
         for side in (node.a, node.b):

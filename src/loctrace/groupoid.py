@@ -3,11 +3,12 @@
 A map is one of: the identity, affine z -> a z + b, a fractional linear map
 kept as a determinant-1 matrix with a fixed sign convention, a polynomial, or
 a composition chain.  Every map knows how to evaluate itself on point batches,
-expose itself as an expression tree (so fields can be pulled back through it),
-and report closed forms for g', g''/g' and log|g'|^2 as trees.  Each map
-builds its trees once, on first use, with common subtrees shared between them;
-every pullback through the map reuses those nodes, so field evaluation, which
-memoizes on node identity, computes them once per batch.  A map's univariate
+expose itself as an expression tree (a pullback composes a field's tree with
+it in one ``fields.Compose`` node), and report closed forms for g', g''/g' and
+log|g'|^2 as trees.  Each map builds its trees once, on first use, with common
+subtrees shared between them; every pullback through the map reuses those
+nodes, so field evaluation, which memoizes on node identity, computes them
+once per batch.  A chain composes its parts' trees the same way.  A map's univariate
 jet at a base point comes from its own tree, as the holomorphic part of the
 tree's Taylor expansion there (fields.jet2_at); there is no second jet engine.
 
@@ -340,13 +341,12 @@ class ChainMap(ConformalMap):
         return out
 
     def _build_trees(self):
-        # innermost part first: g' multiplies the parts' derivatives, and g''/g'
-        # sums each part's g''/g' times the derivative of everything inside it
+        # innermost part first, each part's trees composed with all inside it:
+        # g' multiplies the parts' derivatives, and g''/g' sums each part's
+        # g''/g' times the derivative of everything inside it
         inner, gp, terms = F.VarZ(), None, []
         for p in self.parts[::-1]:
-            memo = {}
-            conj = F.Conj(inner)
-            p_expr, p_gp, p_kappa = (t.subst(inner, conj, memo) for t in p._trees)
+            p_expr, p_gp, p_kappa = (F.Compose(t, inner) for t in p._trees)
             terms.append(p_kappa if gp is None else F.Mul(p_kappa, gp))
             gp = p_gp if gp is None else F.Mul(gp, p_gp)
             inner = p_expr

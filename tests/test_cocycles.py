@@ -427,12 +427,13 @@ class TestUnitIntegrals:
 
 
 def test_recording_a_todd_tape_leaves_no_garbage():
-    # a Todd integrand of the benchmark's size: its tape's recorder and
-    # registers, and the walk that makes its cache key, form no reference
-    # cycle, so all of it is freed at once and nothing waits for the collector
+    # a Todd integrand over 2x2 matrix coefficients, larger than the
+    # benchmark's: its tape's recorder and registers, and the walk that makes
+    # its cache key, form no reference cycle, so all of it is freed at once
+    # and nothing waits for the collector
     act = kappa_action()
     rng = np.random.default_rng(3)
-    a0, a1, a2 = (single0(act, act.by_name(n), rand_coeff(rng)) for n in "ccv")
+    a0, a1, a2 = (rand_crossed(rng, act, n, size=2) for n in "ccv")
     x = a0.mul(diff_nabla(a1)).mul(diff_nabla(a2))
     (key,) = [k for k in x.terms if x.label_of(k).cmap.is_identity_germ()]
     expr = _diag_sum(x.terms[key], 1, 1).expr

@@ -205,6 +205,79 @@ def test_pullback_shrinks_support():
     assert pb.support is not None
 
 
+def _map_cases():
+    # each map with its sympy form in z and, with conjugated coefficients, in w
+    from loctrace.groupoid import AffineMap, MobiusMap, PolyMap
+
+    a, b = 0.8 + 0.3j, 0.05j
+    m = ((1.0, 0.1), (0.3 - 0.1j, 1.0))
+    cs = (0.02, 0.9 + 0.1j, 0.3, -0.2j)
+
+    def affine(x, cj):
+        return cj(a) * x + cj(b)
+
+    def mobius(x, cj):
+        return (cj(m[0][0]) * x + cj(m[0][1])) / (cj(m[1][0]) * x + cj(m[1][1]))
+
+    def poly(x, cj):
+        return sum(cj(c) * x**k for k, c in enumerate(cs))
+
+    return {
+        "affine": (AffineMap(a, b), affine),
+        "mobius": (MobiusMap(m), mobius),
+        "poly": (PolyMap(cs), poly),
+    }
+
+
+def _oracle_field():
+    # a zbar term, a Deriv and a cutoff whose plateau holds every image point
+    w, wb = F.fz(), F.fzbar()
+    d = F.fderiv(F.fmul(F.fpow(w, 3), F.fpow(wb, 2)), 1, 1)  # 6 w^2 wbar
+    base = F.fadd(F.fmul(w, w), F.fscale(wb, 0.5 - 0.3j), F.fscale(d, 0.25))
+    return F.bumped(base, 0.1, 0.6, 0.9), lambda w, wb: w**2 + (0.5 - 0.3j) * wb + 1.5 * w**2 * wb
+
+
+@pytest.mark.parametrize("name", ["affine", "mobius", "poly"])
+def test_pullback_jet_matches_sympy_taylor_coefficients(name):
+    # c_{p,q} of f(g(z), conj g(z)) at order 3: the zbar side of every term
+    # goes through the conjugate powers of the chain rule in Compose
+    import sympy as sp
+
+    g, g_sym = _map_cases()[name]
+    f, f_sym = _oracle_field()
+    z0 = 0.15 - 0.1j
+    assert abs(g.apply(z0) - 0.1) < 0.5  # on the cutoff's plateau
+    j = F.jet2_at(F.fpullback(f, g), z0, 3)
+    assert j.flat
+    zs, ws = sp.symbols("zs ws")
+    expr = f_sym(g_sym(zs, lambda c: c), g_sym(ws, lambda c: complex(c).conjugate()))
+    for p in range(4):
+        for q in range(4 - p):
+            d = sp.diff(expr, zs, p, ws, q)
+            want = complex(d.subs({zs: z0, ws: z0.conjugate()})) / (
+                math.factorial(p) * math.factorial(q)
+            )
+            assert abs(j.coeff(p, q) - want) < 1e-12, (p, q)
+
+
+@pytest.mark.parametrize("outer,inner", [("affine", "mobius"), ("poly", "poly"),
+                                         ("mobius", "poly")])
+def test_pullback_twice_is_pullback_through_the_composite(outer, inner):
+    from loctrace.groupoid import compose_maps
+
+    cases = _map_cases()
+    g, h = cases[outer][0], cases[inner][0]
+    f, _ = _oracle_field()
+    z0 = 0.1 + 0.05j
+    twice = F.jet2_at(F.fpullback(F.fpullback(f, g), h), z0, 3)
+    once = F.jet2_at(F.fpullback(f, compose_maps(g, h)), z0, 3)
+    assert twice.flat and once.flat
+    assert abs(once.coeff(0, 1)) > 0.1  # the zbar side is not vacuous
+    for p in range(4):
+        for q in range(4 - p):
+            assert abs(twice.coeff(p, q) - once.coeff(p, q)) < 1e-12, (p, q)
+
+
 class TestSexp:
     def test_parse_builds_the_constructors_tree(self):
         # every operator of the grammar, parsed from a literal and compared
