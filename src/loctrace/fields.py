@@ -1103,19 +1103,12 @@ def _is_const(r, v):
     return r.value is not None and r.dtype.kind != "b" and r.value == v
 
 
-# a ufunc's output dtype by its operands: an array register's dtype, or the
-# Python type of a constant, which numpy treats as weak
-_UFUNC_DTYPES = {}
-
-
 def _ufunc_dtype(ufunc, srcs):
-    key = (ufunc, *(r.dtype if r.value is None else type(r.value) for r in srcs))
-    hit = _UFUNC_DTYPES.get(key)
-    if hit is None:
-        probe = [np.zeros(1, r.dtype) if r.value is None else r.value for r in srcs]
-        with np.errstate(all="ignore"):
-            hit = _UFUNC_DTYPES[key] = np.asarray(ufunc(*probe)).dtype
-    return hit
+    """A ufunc's output dtype, asked of numpy on one-element arrays of the
+    registers' dtypes and on the constants, which numpy treats as weak."""
+    probe = [np.zeros(1, r.dtype) if r.value is None else r.value for r in srcs]
+    with np.errstate(all="ignore"):
+        return np.asarray(ufunc(*probe)).dtype
 
 
 class _Recorder(EvalCtx):

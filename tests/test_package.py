@@ -260,8 +260,8 @@ def _never_entered(output):
 
 def test_every_never_entered_function_is_pinned():
     # reach.py runs its traffic under its line tracer in an interpreter of its
-    # own: in this one, caches that earlier tests filled (recorded tapes, the
-    # recorder's dtype probes) would keep their builders from being entered
+    # own: in this one, the tape cache that earlier tests filled would keep
+    # the recorder and its builders from being entered
     root = Path(__file__).resolve().parents[1]
     reach = root / "scripts" / "reach.py"
     run = subprocess.run([sys.executable, str(reach), "--seed", "3"], capture_output=True,
