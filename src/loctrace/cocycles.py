@@ -128,24 +128,18 @@ def phi_trace_words(x, region=None, jet_order=DEFAULT_JET_ORDER):
     return {key: v for key, v in got.items() if v != 0}
 
 
-def _unit_integral(mat, tol, max_depth, tag):
-    field = _diag_sum(mat, 1, 1)
+def plane_integral(field, tol, max_depth, what):
+    """The integral of a field over the plane in dx dy, and its error
+    estimate; 0 for a structural zero.  ``what`` names it in the errors."""
     if field.is_structural_zero():
         return 0j, 0.0
-    if field.support is None:
-        raise ValueError(
-            f"cannot integrate the coefficient at {tag}: unbounded or unknown support"
-        )
-    bb = field.support.bbox()
+    bb = None if field.support is None else field.support.bbox()
     if bb is None:
-        raise ValueError(f"cannot integrate the coefficient at {tag}: unbounded support")
+        raise ValueError(f"{what} needs a bounded support")
     res = integrate_box(F.integrand(field), bb, tol, max_depth)
     if not res.converged:
-        raise NonConvergenceError(
-            f"unit integral at {tag} did not converge (est {res.est_error:.3g})"
-        )
-    # dz^dzbar against the plane: -2i dx dy
-    return -2j * res.value, 2.0 * res.est_error
+        raise NonConvergenceError(f"{what} did not converge (est {res.est_error:.3g})")
+    return res.value, res.est_error
 
 
 def _unit_values(x, keys, tol, max_depth):
@@ -156,8 +150,11 @@ def _unit_values(x, keys, tol, max_depth):
     for key in keys:
         if not x.label_of(key).cmap.is_identity_germ():
             continue
-        out[key], e = _unit_integral(x.terms[key], tol, max_depth, key)
-        est += e
+        field = _diag_sum(x.terms[key], 1, 1)
+        v, e = plane_integral(field, tol, max_depth, f"unit integral at {key}")
+        # dz^dzbar against the plane: -2i dx dy
+        out[key] = -2j * v
+        est += 2.0 * e
     return out, est
 
 
