@@ -38,14 +38,18 @@ class CertificateError(Exception):
 #
 # Crossed elements cannot be inverted numerically here, so invertibility and
 # idempotency are certified by sampling residuals on grids covering the
-# coefficient supports.
+# coefficient supports: _GRID x _GRID interior points per support box.
 
-_DEFAULT_GRID = 4
+_GRID = 4
+# the largest sampled residual of an idempotent, and of an inverse or a
+# nilpotency certificate
+IDEMPOTENT_TOL = 1e-10
+CERTIFICATE_TOL = 1e-9
 
 
-def _bbox_points(bb, n=_DEFAULT_GRID):
-    xs = np.linspace(bb[0], bb[1], n + 2)[1:-1]
-    ys = np.linspace(bb[2], bb[3], n + 2)[1:-1]
+def _bbox_points(bb):
+    xs = np.linspace(bb[0], bb[1], _GRID + 2)[1:-1]
+    ys = np.linspace(bb[2], bb[3], _GRID + 2)[1:-1]
     return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
@@ -86,35 +90,37 @@ def _require_unit_scalar(x, what):
         )
 
 
-def check_idempotent(e, tol=1e-10):
-    """Sampled residual of e*e - e; raises when it exceeds the tolerance."""
+def check_idempotent(e):
+    """Sampled residual of e*e - e; raises when it exceeds IDEMPOTENT_TOL."""
     res = e.mul(e).sub(e)
     worst = crossed_max_abs(res)
-    if worst > tol:
-        raise ValueError(f"not an idempotent: sampled residual {worst:.3g} > {tol:g}")
-    return worst
-
-
-def check_inverse(u, v, tol=1e-9):
-    one = CrossedForm.unit(u.action, u.size)
-    worst = max(
-        crossed_max_abs(u.mul(v).sub(one)), crossed_max_abs(v.mul(u).sub(one))
-    )
-    if worst > tol:
-        raise CertificateError(
-            f"inverse certificate fails: sampled residual {worst:.3g} > {tol:g}"
+    if worst > IDEMPOTENT_TOL:
+        raise ValueError(
+            f"not an idempotent: sampled residual {worst:.3g} > {IDEMPOTENT_TOL:g}"
         )
     return worst
 
 
-def check_nilpotent(a, tol=1e-9):
+def check_inverse(u, v):
+    one = CrossedForm.unit(u.action, u.size)
+    worst = max(
+        crossed_max_abs(u.mul(v).sub(one)), crossed_max_abs(v.mul(u).sub(one))
+    )
+    if worst > CERTIFICATE_TOL:
+        raise CertificateError(
+            f"inverse certificate fails: sampled residual {worst:.3g} > {CERTIFICATE_TOL:g}"
+        )
+    return worst
+
+
+def check_nilpotent(a):
     sq = a.mul(a)
     if not sq.terms and sq.scalar is None:
         return 0.0
     worst = crossed_max_abs(sq)
-    if worst > tol:
+    if worst > CERTIFICATE_TOL:
         raise CertificateError(
-            f"nilpotency certificate fails: sampled residual {worst:.3g} > {tol:g}"
+            f"nilpotency certificate fails: sampled residual {worst:.3g} > {CERTIFICATE_TOL:g}"
         )
     return worst
 
@@ -179,7 +185,7 @@ def _binom_half_inv(k):
     return (-1) ** k * math.comb(2 * k, k)
 
 
-def lift_idempotent(e, cap, tol=1e-10):
+def lift_idempotent(e, cap):
     """Canonical idempotent lift 1/2 + (c - 1/2)(1 + 4q)^(-1/2), q = c^2 - c.
 
     The input must be idempotent (sampled check); the output squares to
@@ -188,12 +194,12 @@ def lift_idempotent(e, cap, tol=1e-10):
     exactly so when the defect series terminates within the cap (check the
     ``dropped`` counter).
     """
-    check_idempotent(e, tol)
+    check_idempotent(e)
     act, n = e.action, e.size
     c_til = WordCrossedForm.from_crossed(e, cap)
     q_til = c_til.mul(c_til).sub(c_til)
     if q_til.scalar is not None:
-        if float(np.max(np.abs(q_til.scalar))) > tol:
+        if float(np.max(np.abs(q_til.scalar))) > IDEMPOTENT_TOL:
             raise ValueError("constant part of the input is not idempotent")
         q_til = WordCrossedForm(act, n, cap, q_til.terms, None, q_til.dropped)
 
