@@ -927,7 +927,7 @@ def plateau_safe(f, z0):
 # equal bytes unpickle to equal structures.  Each structure is pickled from
 # fresh tuples and strings and the same classes, so equal structures give
 # equal bytes; were they ever not to, an equal tree would only record a
-# second tape.  At seed 3 the 18 ``cocycle`` keys take 36 KB as bytes, 120 KB
+# second tape.  At seed 3 the 18 ``cocycle`` keys take 37 KB as bytes, 120 KB
 # as nested tuples.  The key is not a digest, which would not be exact, and
 # ``hashlib`` would load OpenSSL: 3.5 MiB of memory and several milliseconds
 # for a process, such as one CLI run, that has not loaded it yet.
@@ -936,7 +936,7 @@ def plateau_safe(f, z0):
 # swaps each instruction of a tape it caches for the equal tuple in
 # ``_CODE``, the table of the cached tapes' instructions.  At seed 3 the 3,706
 # instructions of the ``cocycle`` tapes are 1,572 tuples: with their lists
-# they take 144 KB against 295 KB, and the table 74 KB more.  An eviction
+# they take 154 KB against 305 KB, and the table 74 KB more.  An eviction
 # empties the table, so it never holds an instruction of a tape that is no
 # longer cached; with a full cache, sharing starts afresh after each one.
 #

@@ -8,9 +8,10 @@ it in one ``fields.Compose`` node), and report closed forms for g', g''/g' and
 log|g'|^2 as trees.  Each map builds its trees once, on first use, with common
 subtrees shared between them; every pullback through the map reuses those
 nodes, so field evaluation, which memoizes on node identity, computes them
-once per batch.  A chain composes its parts' trees the same way.  A map's univariate
-jet at a base point comes from its own tree, as the holomorphic part of the
-tree's Taylor expansion there (fields.jet2_at); there is no second jet engine.
+once per batch.  A chain composes its parts' trees the same way.  A map's
+univariate jet at a base point comes from its own tree, as the holomorphic
+part of the tree's Taylor expansion there (fields.jet2_at); there is no
+second jet engine.
 
 Fixed points of a map inside a search region are isolated zeros of g(z) - z;
 at each one the local order n is the valuation of the jet of g(z) - z.  A root

@@ -230,7 +230,6 @@ UNREACHED = {
         "_merge_multiple": DIRECTION_F,
         "_newton_fixed_points": DIRECTION_F,
         "Automorphism.__repr__": REPR,
-        "GroupLabel.__repr__": REPR,
         "GroupAction.unit": PROTOCOL,
         "GroupAction.compose": PROTOCOL,
         "GroupAction.inverse": PROTOCOL,
